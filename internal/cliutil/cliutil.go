@@ -54,9 +54,17 @@ func ModelNames() []string {
 }
 
 // BuildModel constructs the named early-exit model with its default ramp
-// architecture; entropy applies to the entropy-ramped models.
+// architecture; entropy applies to the entropy-ramped models and must lie
+// in (0,1) for them.
 func BuildModel(name string, entropy float64) (*ee.EEModel, error) {
-	switch strings.ToLower(name) {
+	name = strings.ToLower(name)
+	switch name {
+	case "bert-base", "bert-large", "distilbert":
+		if entropy <= 0 || entropy >= 1 {
+			return nil, fmt.Errorf("cliutil: entropy threshold %v outside (0,1)", entropy)
+		}
+	}
+	switch name {
 	case "bert-base":
 		return ee.NewDeeBERT(model.BERTBase(), entropy), nil
 	case "bert-large":

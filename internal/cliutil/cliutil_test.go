@@ -55,3 +55,15 @@ func TestBuildModelCaseInsensitive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestBuildModelRejectsBadEntropy(t *testing.T) {
+	for _, th := range []float64{0, 1, 1.5, -0.2} {
+		if _, err := BuildModel("bert-base", th); err == nil {
+			t.Errorf("entropy %v accepted", th)
+		}
+	}
+	// Models without entropy ramps ignore the flag.
+	if _, err := BuildModel("resnet50", 1.5); err != nil {
+		t.Errorf("resnet50 with unused entropy: %v", err)
+	}
+}

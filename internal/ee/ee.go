@@ -64,29 +64,41 @@ type Policy struct {
 	Patience, RefPatience int
 }
 
+// validate rejects thresholds DepthScale cannot turn into a finite,
+// positive multiplier: entropy and confidence bounds must lie in (0,1).
+func (p Policy) validate() error {
+	switch p.Kind {
+	case Entropy, Confidence:
+		if p.Threshold <= 0 || p.Threshold >= 1 || p.RefThreshold <= 0 || p.RefThreshold >= 1 {
+			return fmt.Errorf("ee: %s thresholds must lie in (0,1): %+v", p.Kind, p)
+		}
+	case Patience:
+		// No threshold: patience shifts the ready depth additively.
+	default:
+		return fmt.Errorf("ee: unknown policy kind %d", p.Kind)
+	}
+	return nil
+}
+
 // DepthScale converts the policy's threshold into a multiplier on an
-// input's exit-ready depth. 1 at the reference threshold.
+// input's exit-ready depth. 1 at the reference threshold. It panics on a
+// policy New would reject.
 func (p Policy) DepthScale() float64 {
+	if err := p.validate(); err != nil {
+		panic(err.Error())
+	}
 	switch p.Kind {
 	case Entropy:
 		// Entropy decays roughly exponentially with depth, so the depth at
 		// which it crosses a bound θ scales with ln(θ). Higher θ → easier
 		// bound → earlier exit.
-		if p.Threshold <= 0 || p.Threshold >= 1 || p.RefThreshold <= 0 || p.RefThreshold >= 1 {
-			panic(fmt.Sprintf("ee: entropy thresholds must lie in (0,1): %+v", p))
-		}
 		return math.Log(p.Threshold) / math.Log(p.RefThreshold)
 	case Confidence:
 		// Residual uncertainty (1-conf) decays with depth; the crossing
 		// depth scales with ln(1-τ). Higher τ → harder bound → later exit.
-		if p.Threshold <= 0 || p.Threshold >= 1 || p.RefThreshold <= 0 || p.RefThreshold >= 1 {
-			panic(fmt.Sprintf("ee: confidence thresholds must lie in (0,1): %+v", p))
-		}
 		return math.Log(1-p.Threshold) / math.Log(1-p.RefThreshold)
-	case Patience:
-		return 1
 	default:
-		panic(fmt.Sprintf("ee: unknown policy kind %d", p.Kind))
+		return 1
 	}
 }
 
@@ -94,7 +106,10 @@ func (p Policy) DepthScale() float64 {
 type EEModel struct {
 	Name   string
 	Base   *model.Model
-	Policy Policy
+	policy Policy
+	// depthScale is policy.DepthScale(), fixed when the model is built so
+	// the per-input exit decision does no logarithms.
+	depthScale float64
 	// rampAfter holds 1-based layer indices k (k < L) carrying a ramp
 	// after layer k, sorted ascending. The final classifier after layer L
 	// is implicit and is not an early exit.
@@ -108,6 +123,9 @@ type EEModel struct {
 // New assembles an EE model with ramps after the given (1-based) layers.
 func New(name string, base *model.Model, p Policy, rampAfter []int, lmHead bool) (*EEModel, error) {
 	if err := base.Validate(); err != nil {
+		return nil, err
+	}
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	L := base.NumLayers()
@@ -127,7 +145,8 @@ func New(name string, base *model.Model, p Policy, rampAfter []int, lmHead bool)
 	return &EEModel{
 		Name:       name,
 		Base:       base,
-		Policy:     p,
+		policy:     p,
+		depthScale: p.DepthScale(),
 		rampAfter:  ramps,
 		disabled:   make(map[int]bool),
 		LMHeadRamp: lmHead,
@@ -287,11 +306,11 @@ func (m *EEModel) readyDepth(difficulty float64) float64 {
 		difficulty = 1
 	}
 	var d float64
-	if m.Policy.Kind == Patience {
+	if m.policy.Kind == Patience {
 		L := float64(m.Base.NumLayers())
-		d = difficulty + float64(m.Policy.Patience-m.Policy.RefPatience)/L
+		d = difficulty + float64(m.policy.Patience-m.policy.RefPatience)/L
 	} else {
-		d = difficulty * m.Policy.DepthScale()
+		d = difficulty * m.depthScale
 	}
 	if d < 0 {
 		return 0

@@ -24,6 +24,62 @@ func TestNewRejectsBadRamps(t *testing.T) {
 	}
 }
 
+func TestNewRejectsBadThresholds(t *testing.T) {
+	base := model.BERTBase()
+	bad := []Policy{
+		{Kind: Entropy, Threshold: 1.5, RefThreshold: 0.4},
+		{Kind: Entropy, Threshold: 0.4, RefThreshold: 0},
+		{Kind: Confidence, Threshold: 1, RefThreshold: 0.5},
+		{Kind: PolicyKind(9), Threshold: 0.4, RefThreshold: 0.4},
+	}
+	for _, p := range bad {
+		if _, err := New("x", base, p, []int{3}, false); err == nil {
+			t.Errorf("policy %+v accepted", p)
+		}
+	}
+}
+
+// walkExit is the un-memoized exit rule: the depth scale recomputed from
+// the policy on every call, then the first active ramp at or past it.
+func walkExit(m *EEModel, p Policy, difficulty float64) int {
+	L := m.Base.NumLayers()
+	d := math.Min(1, math.Max(0, difficulty))
+	ready := math.Max(0, d*p.DepthScale()) * float64(L)
+	for _, r := range m.ActiveRamps() {
+		if float64(r) >= ready {
+			return r
+		}
+	}
+	return L
+}
+
+func TestStoredDepthScaleMatchesPolicy(t *testing.T) {
+	p := Policy{Kind: Entropy, Threshold: 0.3, RefThreshold: 0.4}
+	orig, err := New("x", model.BERTBase(), p, everyLayer(12), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toggled := orig.Clone()
+	for _, k := range []int{2, 5, 6, 9} {
+		if err := toggled.Disable(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := toggled.Enable(5); err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*EEModel{"clone": orig.Clone(), "disable/enable": toggled, "clone of toggled": toggled.Clone()}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		d := rng.Float64()*1.2 - 0.1
+		for name, m := range models {
+			if got, want := m.ExitLayerFor(d), walkExit(m, p, d); got != want {
+				t.Fatalf("%s: ExitLayerFor(%v) = %d, direct walk %d", name, d, got, want)
+			}
+		}
+	}
+}
+
 func TestDeeBERTRampLayout(t *testing.T) {
 	m := NewDeeBERT(model.BERTBase(), 0.4)
 	ramps := m.ActiveRamps()

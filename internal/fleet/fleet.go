@@ -150,7 +150,10 @@ type Replica struct {
 	// pipelines only. Pools are loop-owned (see workload.BatchPool): two
 	// shards must never exchange pooled buffers, so each replica gets its
 	// own pool at build time (the ownership regression test pins this).
-	pool    *workload.BatchPool
+	pool *workload.BatchPool
+	// allocs is the plan the shard was deployed from. Replicas with the
+	// same inventory share one slice; it is read-only after planning.
+	allocs  []multi.Allocation
 	tenants []*replicaTenant
 	// drained marks the final drain done (Good meters closed).
 	drained bool
@@ -197,6 +200,10 @@ func planScale(cfg Config, r int) float64 {
 // shard-owned batch pool. Planning that cannot sustain the scaled demand
 // retries at half the demand (twice) before failing — the router and the
 // replicas' own admission control absorb the shortfall at run time.
+//
+// Replicas with the same inventory get identical planning input (same
+// cluster, same demand share), so each distinct inventory is planned once
+// and its replicas deploy from that one read-only plan.
 func New(cfg Config) (*Fleet, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -205,8 +212,9 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.EpochDur = cfg.Horizon
 	}
 	f := &Fleet{cfg: cfg, router: NewRouter(len(cfg.Replicas), len(cfg.Tenants))}
+	plans := make(map[string][]multi.Allocation)
 	for i, spec := range cfg.Replicas {
-		rep, err := buildReplica(cfg, i, spec)
+		rep, err := buildReplica(cfg, i, spec, plans)
 		if err != nil {
 			return nil, err
 		}
@@ -222,24 +230,24 @@ func New(cfg Config) (*Fleet, error) {
 		f.pending = append(f.pending, at)
 		f.pendingOK = append(f.pendingOK, ok)
 	}
-	f.router.init(f)
 	return f, nil
 }
 
-// buildReplica plans and deploys one shard.
-func buildReplica(cfg Config, idx int, spec ReplicaSpec) (*Replica, error) {
+// buildReplica deploys one shard, planning it only if no earlier replica
+// had the same inventory; plans maps ReplicaSpec.describe() to the
+// allocations planWithBackoff returned for it.
+func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string][]multi.Allocation) (*Replica, error) {
 	clus := cluster.New(spec.GPUs, 2)
-	scale := planScale(cfg, idx)
-	tenants := make([]multi.Tenant, 0, len(cfg.Tenants))
-	for _, t := range cfg.Tenants {
-		tenants = append(tenants, multi.Tenant{
-			Name: t.Name, Model: t.Model, Dist: t.Dist,
-			Rate: t.Rate * scale, SLO: t.SLO, Batch: t.Batch,
-		})
-	}
-	allocs, err := planWithBackoff(clus, tenants)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %d: %w", idx, err)
+	tenants := replicaTenants(cfg, idx)
+	key := spec.describe()
+	allocs, ok := plans[key]
+	if !ok {
+		var err error
+		allocs, err = planWithBackoff(clus, tenants)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: replica %d: %w", idx, err)
+		}
+		plans[key] = allocs
 	}
 	eng := sim.NewEngine()
 	// Runaway backstop scaled to this shard's expected share of events
@@ -254,7 +262,7 @@ func buildReplica(cfg Config, idx int, spec ReplicaSpec) (*Replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %d: %w", idx, err)
 	}
-	rep := &Replica{Index: idx, Spec: spec, eng: eng, clus: clus, pool: pool}
+	rep := &Replica{Index: idx, Spec: spec, eng: eng, clus: clus, pool: pool, allocs: allocs}
 	// DeployServing returns stacks in allocation order (demand-sorted);
 	// re-index them into config tenant order so every coordinator walk is
 	// deterministic and tenant-index addressable.
@@ -276,6 +284,20 @@ func buildReplica(cfg Config, idx int, spec ReplicaSpec) (*Replica, error) {
 		})
 	}
 	return rep, nil
+}
+
+// replicaTenants is the fleet's tenant list with every rate scaled to
+// replica idx's share of the inventory: the demand it is planned for.
+func replicaTenants(cfg Config, idx int) []multi.Tenant {
+	scale := planScale(cfg, idx)
+	tenants := make([]multi.Tenant, 0, len(cfg.Tenants))
+	for _, t := range cfg.Tenants {
+		tenants = append(tenants, multi.Tenant{
+			Name: t.Name, Model: t.Model, Dist: t.Dist,
+			Rate: t.Rate * scale, SLO: t.SLO, Batch: t.Batch,
+		})
+	}
+	return tenants
 }
 
 // planWithBackoff partitions a replica cluster across tenants, halving

@@ -82,11 +82,6 @@ func NewRouter(nReplicas, nTenants int) *Router {
 	return r
 }
 
-// init gives the router its back-reference-free view of static capacity;
-// nothing to do today beyond shape checks, kept as a hook for scorers
-// that precompute.
-func (ro *Router) init(f *Fleet) {}
-
 // minScore floors every replica's score so no replica is ever starved:
 // even a fully backlogged or budget-burning replica keeps a trickle of
 // credit growth and is eventually routed to (the starvation test pins
