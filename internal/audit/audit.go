@@ -9,12 +9,20 @@
 // self-check: E3's whole value proposition is goodput accounting under
 // SLOs (§3.1, §4), so every sample must be accounted exactly once.
 //
+// The exhaustive ledger costs 32 bytes per event plus 12 per sample. Events
+// live in an append-only log of fixed-size chunks of pointer-free records,
+// so growth never copies old records and the GC never scans them; each
+// sample's records are chained through the log, with dense per-sample
+// head/tail/order indices. Events returns a fresh copy of one sample's
+// chain, not a view into the store.
+//
 // A nil *Ledger is valid and records nothing, so call sites wire events
 // unconditionally and auditing costs nothing when disabled.
 package audit
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -94,23 +102,79 @@ type Event struct {
 // against the collector and telemetry stay exact at paper-trace scale
 // (tens of millions of requests) where exhaustive tracking would dominate
 // both memory and the event loop's hot path.
+//
+// Detail lives in one append-only log of pointer-free records, split into
+// fixed-size chunks so growth never copies what is already stored (only
+// the first chunk starts small and grows, so a sampled ledger that keeps
+// a few hundred records does not pay for a whole chunk). Each
+// sample's records form a chain through the log; dense head/tail slices
+// indexed by slot (id/stride) hold the chain ends. Sample IDs must be
+// positive: a tracked event with an ID ≤ 0 has no slot, so it is counted
+// and reported by Verify instead of stored.
 type Ledger struct {
-	events map[int64][]Event
-	order  []int64
-	// stride samples per-event detail for ids divisible by it (≤1 =
+	// log is the event store: every chunk but the last holds exactly
+	// chunkSize records.
+	log [][]rec
+	// n is the number of records in the log (int32 caps it at 2^31
+	// records, 64 GiB).
+	n int32
+	// head and tail hold each slot's first and last record (1-based
+	// record index; 0 = none yet).
+	head, tail []int32
+	// order lists slots in first-event order, the order Verify and Digest
+	// walk them in.
+	order []int32
+	// stride samples per-event detail for ids divisible by it (1 =
 	// exhaustive).
 	stride int64
+	// reasons interns drop reasons; a record's reason indexes it, and
+	// byReason holds the population drop count per interned reason.
+	reasons  []Reason
+	byReason []int
 	// Population-exact O(1) counters, maintained for every event whether
 	// or not its sample is tracked in detail.
 	arrivedTotal   int
 	completedTotal int
 	droppedTotal   int
-	byReasonTotal  map[Reason]int
+	// unrecorded counts events the store could not hold: a tracked sample
+	// ID with no slot, or a drop reason past the interning table.
+	unrecorded int
 }
+
+// A chunk holds chunkSize records (128 KiB); the first starts with room
+// for firstChunk.
+const (
+	chunkBits  = 12
+	chunkSize  = 1 << chunkBits
+	chunkMask  = chunkSize - 1
+	firstChunk = 64
+	// maxReasons bounds the interned reason table to what rec.reason holds.
+	maxReasons = math.MaxUint8 + 1
+)
+
+// rec is one stored event. It holds no pointers, so the GC never scans
+// the log.
+type rec struct {
+	at                    float64
+	stage, instance, exit int32
+	// next is the 1-based index of the sample's next record (0 ends the
+	// chain).
+	next   int32
+	kind   uint8
+	reason uint8
+}
+
+// knownReasons seeds every ledger's reason table; index 0 is the empty
+// reason every non-drop record carries.
+var knownReasons = [...]Reason{"", ReasonAdmission, ReasonStaleShed, ReasonSLAFlush}
 
 // NewLedger returns an empty exhaustive ledger.
 func NewLedger() *Ledger {
-	return &Ledger{events: make(map[int64][]Event), stride: 1, byReasonTotal: make(map[Reason]int)}
+	return &Ledger{
+		stride:   1,
+		reasons:  append([]Reason(nil), knownReasons[:]...),
+		byReason: make([]int, len(knownReasons)),
+	}
 }
 
 // NewSampledLedger returns a ledger that audits per-sample invariants on
@@ -138,11 +202,37 @@ func (l *Ledger) Stride() int64 {
 // tracked reports whether the sample's per-event detail is stored.
 func (l *Ledger) tracked(id int64) bool { return l.stride <= 1 || id%l.stride == 0 }
 
+// slot maps a tracked id to its dense index; ok is false for an id with
+// none (≤ 0, or past what an int32 index holds).
+func (l *Ledger) slot(id int64) (int, bool) {
+	s := id / l.stride
+	return int(s), id > 0 && s <= math.MaxInt32
+}
+
+// intern returns r's index in the reason table, adding it on first use.
+func (l *Ledger) intern(r Reason) (uint8, bool) {
+	for i, known := range l.reasons {
+		if known == r {
+			return uint8(i), true
+		}
+	}
+	if len(l.reasons) == maxReasons {
+		return 0, false
+	}
+	l.reasons = append(l.reasons, r)
+	l.byReason = append(l.byReason, 0)
+	return uint8(len(l.reasons) - 1), true
+}
+
+// at returns the record at 1-based index i.
+func (l *Ledger) at(i int32) *rec { return &l.log[(i-1)>>chunkBits][(i-1)&chunkMask] }
+
 //e3:hotpath runs once per lifecycle event; sampled mode counts in O(1) and must not allocate off the detail path
 func (l *Ledger) record(id int64, e Event) {
 	if l == nil {
 		return
 	}
+	var reason uint8
 	switch e.Kind {
 	case KindArrived:
 		l.arrivedTotal++
@@ -150,15 +240,61 @@ func (l *Ledger) record(id int64, e Event) {
 		l.completedTotal++
 	case KindDropped:
 		l.droppedTotal++
-		l.byReasonTotal[e.Reason]++
+		ri, ok := l.intern(e.Reason)
+		if !ok {
+			l.unrecorded++
+			return
+		}
+		l.byReason[ri]++
+		reason = ri
 	}
 	if !l.tracked(id) {
 		return
 	}
-	if _, seen := l.events[id]; !seen {
-		l.order = append(l.order, id)
+	s, ok := l.slot(id)
+	if !ok {
+		l.unrecorded++
+		return
 	}
-	l.events[id] = append(l.events[id], e)
+	for len(l.head) <= s {
+		l.head = append(l.head, 0)
+		l.tail = append(l.tail, 0)
+	}
+	last := len(l.log) - 1
+	if last < 0 || len(l.log[last]) == chunkSize {
+		size := chunkSize
+		if last < 0 {
+			size = firstChunk
+		}
+		l.log = append(l.log, make([]rec, 0, size)) //e3:alloc one chunk per chunkSize events; records are pointer-free, so the GC never scans it
+		last++
+	}
+	l.log[last] = append(l.log[last], rec{
+		at: e.At, stage: int32(e.Stage), instance: int32(e.Instance), exit: int32(e.ExitLayer),
+		kind: uint8(e.Kind), reason: reason,
+	})
+	l.n++
+	if t := l.tail[s]; t != 0 {
+		l.at(t).next = l.n
+	} else {
+		l.head[s] = l.n
+		l.order = append(l.order, int32(s))
+	}
+	l.tail[s] = l.n
+}
+
+// chain appends slot s's events to dst, oldest first.
+func (l *Ledger) chain(dst []Event, s int32) []Event {
+	for i := l.head[s]; i != 0; {
+		r := l.at(i)
+		dst = append(dst, Event{
+			Kind: Kind(r.kind), At: r.at,
+			Stage: int(r.stage), Instance: int(r.instance), ExitLayer: int(r.exit),
+			Reason: l.reasons[r.reason],
+		})
+		i = r.next
+	}
+	return dst
 }
 
 // Arrived records a sample minted by the generator at virtual time at.
@@ -199,12 +335,17 @@ func (l *Ledger) Samples() int {
 	return len(l.order)
 }
 
-// Events returns the recorded events for one sample (nil if unknown).
+// Events returns a fresh copy of one sample's recorded events (nil if
+// unknown).
 func (l *Ledger) Events(id int64) []Event {
-	if l == nil {
+	if l == nil || !l.tracked(id) {
 		return nil
 	}
-	return l.events[id]
+	s, ok := l.slot(id)
+	if !ok || s >= len(l.head) {
+		return nil
+	}
+	return l.chain(nil, int32(s))
 }
 
 // StageFlow tallies one stage's traffic for the balance check.
@@ -347,8 +488,10 @@ func (l *Ledger) Verify() *Report {
 	}
 	r.Completed = l.completedTotal
 	r.Dropped = l.droppedTotal
-	for reason, n := range l.byReasonTotal {
-		r.ByReason[reason] = n
+	r.ByReason = l.DropBreakdown()
+	if l.unrecorded > 0 {
+		r.addViolation("%d event(s) not recorded: sample id ≤ 0 or past the ledger's index, or more than %d drop reasons",
+			l.unrecorded, maxReasons)
 	}
 	stage := func(si int) *StageFlow {
 		f := r.Stages[si]
@@ -358,8 +501,10 @@ func (l *Ledger) Verify() *Report {
 		}
 		return f
 	}
-	for _, id := range l.order {
-		evs := l.events[id]
+	var evs []Event // chain-walk buffer, reused across samples
+	for _, slot := range l.order {
+		id := int64(slot) * l.stride
+		evs = l.chain(evs[:0], slot)
 		terminals := 0
 		lastStage := -1 // last stage the sample was dispatched into
 		prevAt := 0.0
@@ -458,8 +603,10 @@ func (l *Ledger) DropBreakdown() map[Reason]int {
 	if l == nil {
 		return out
 	}
-	for reason, n := range l.byReasonTotal {
-		out[reason] = n
+	for i, n := range l.byReason {
+		if n > 0 {
+			out[l.reasons[i]] = n
+		}
 	}
 	return out
 }
@@ -474,18 +621,24 @@ func (l *Ledger) Digest() string {
 		return ""
 	}
 	fmt.Fprintf(&b, "totals arrived=%d completed=%d dropped=%d", l.arrivedTotal, l.completedTotal, l.droppedTotal)
-	reasons := make([]string, 0, len(l.byReasonTotal))
-	for reason := range l.byReasonTotal {
+	if l.unrecorded > 0 {
+		fmt.Fprintf(&b, " unrecorded=%d", l.unrecorded)
+	}
+	byReason := l.DropBreakdown()
+	reasons := make([]string, 0, len(byReason))
+	for reason := range byReason {
 		reasons = append(reasons, string(reason))
 	}
 	sort.Strings(reasons)
 	for _, reason := range reasons {
-		fmt.Fprintf(&b, " %s=%d", reason, l.byReasonTotal[Reason(reason)])
+		fmt.Fprintf(&b, " %s=%d", reason, byReason[Reason(reason)])
 	}
 	b.WriteByte('\n')
-	for _, id := range l.order {
-		fmt.Fprintf(&b, "%d:", id)
-		for _, e := range l.events[id] {
+	var evs []Event // chain-walk buffer, reused across samples
+	for _, slot := range l.order {
+		fmt.Fprintf(&b, "%d:", int64(slot)*l.stride)
+		evs = l.chain(evs[:0], slot)
+		for _, e := range evs {
 			fmt.Fprintf(&b, " %s@%v", e.Kind, e.At)
 			if e.Kind == KindDispatched {
 				fmt.Fprintf(&b, "(s%d,i%d)", e.Stage, e.Instance)

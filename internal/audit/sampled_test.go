@@ -72,8 +72,18 @@ func TestSampledLedgerMemoryBoundedByStride(t *testing.T) {
 	if got := len(l.order); got != 10 {
 		t.Fatalf("tracked %d samples in detail, want 10", got)
 	}
-	if got := len(l.events); got != 10 {
-		t.Fatalf("event store holds %d ids, want 10", got)
+	// The log holds exactly the tracked samples' events and nothing of
+	// the other 9,990: every tracked id here is a multiple of 5, so each
+	// ran arrive → queue → drop.
+	held := 0
+	for id := int64(1000); id <= 10_000; id += 1000 {
+		held += len(l.Events(id))
+	}
+	if int(l.n) > held || held != 30 {
+		t.Fatalf("log holds %d records, tracked samples have %d events; want both 30", l.n, held)
+	}
+	if len(l.log) != 1 || len(l.head) > 11 {
+		t.Fatalf("store spans %d chunks and %d slots, want 1 chunk and ≤ 11 slots", len(l.log), len(l.head))
 	}
 }
 

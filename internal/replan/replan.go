@@ -176,9 +176,11 @@ type Result struct {
 	FlameStat    flame.ReconcileStat
 }
 
-// Run executes the windowed loop. The engine, collector, ledger, and
-// tracer span the whole run; each window builds a fresh pipeline + batcher
-// for the active plan and drains it completely before the next boundary.
+// Run executes the windowed loop. The engine, collector, ledger, tracer
+// and one workload.BatchPool span the whole run; each window builds a
+// fresh pipeline + batcher for the active plan, attaches the shared pool
+// to both, streams its arrivals from a trace.PoissonStream through one
+// self-rescheduling event, and drains completely before the next boundary.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Model == nil || cfg.Cluster == nil {
 		return nil, fmt.Errorf("replan: nil model or cluster")
@@ -199,6 +201,9 @@ func Run(cfg Config) (*Result, error) {
 	coll.Trace = cfg.Tracer
 	coll.Attr = cfg.Attr
 	coll.Flame = cfg.Flame
+	// One batch pool recycles sample slices through every window's batcher
+	// and pipeline, so a rebuilt pipeline reuses the last window's arrays.
+	pool := workload.NewBatchPool()
 	gen := workload.NewGenerator(mix(0), cfg.Seed)
 	gen.SetAudit(coll.Audit)
 	gen.SetTrace(cfg.Tracer)
@@ -320,15 +325,23 @@ func Run(cfg Config) (*Result, error) {
 			return nil, abort(w, err)
 		}
 		b := serving.NewBatcher(eng, pipe, plan.Batch, plan.Latency, 0.2)
+		pipe.SetPool(pool)
+		b.SetPool(pool)
 		gen.SwitchDist(mix(w))
 		// Poisson (not bursty) arrivals: each window must yield a usable
 		// profile observation, and DefaultBursty's ~18 s idle gaps would
-		// starve short windows to a few dozen samples of pure noise.
-		for _, off := range trace.Poisson(cfg.AvgRate, cfg.WindowDur, cfg.Seed+int64(w)*1000) {
-			at := start + off
-			eng.At(at, func() {
-				b.Arrive(gen.Next(eng.Now(), cfg.SLO))
-			})
+		// starve short windows to a few dozen samples of pure noise. One
+		// self-rescheduling event pulls them from the stream one at a time.
+		st := trace.NewPoissonStream(cfg.AvgRate, cfg.WindowDur, cfg.Seed+int64(w)*1000)
+		var arrive func()
+		arrive = func() {
+			b.Arrive(gen.Next(eng.Now(), cfg.SLO))
+			if off, ok := st.Next(); ok {
+				eng.At(start+off, arrive)
+			}
+		}
+		if off, ok := st.Next(); ok {
+			eng.At(start+off, arrive)
 		}
 		if err := eng.RunAll(); err != nil {
 			return nil, abort(w, err)
