@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint lintgate test race audit replan overhead bench plangate simgate slogate flamegate fleetgate
+.PHONY: verify build vet lint lintgate test race audit replan overhead bench benchtest plangate simgate slogate flamegate fleetgate
 
-verify: build vet lintgate test race audit replan overhead plangate simgate slogate flamegate fleetgate
+verify: build vet lintgate test race audit replan overhead plangate simgate slogate flamegate fleetgate benchtest
 	@echo "verify: all checks passed"
 
 build:
@@ -98,6 +98,17 @@ flamegate:
 # `e3-bench -fleet-bench BENCH_PR10.json` writes the full scaling curve.
 fleetgate:
 	E3_FLEET_GATE=1 $(GO) test ./internal/fleet/ -run TestFleetGate -v
+
+# The benchmark's own tests (_benchmark/bench_test.go: every workload's
+# smoke run, metric definitions and report shape), in the offline build
+# environment _benchmark/run.sh uses: all build state under .bench_build,
+# the local toolchain only, no module proxy.
+BENCH_BUILD := $(CURDIR)/.bench_build
+benchtest:
+	mkdir -p $(BENCH_BUILD)/tmp
+	GOCACHE=$(BENCH_BUILD)/go-cache GOTMPDIR=$(BENCH_BUILD)/tmp GOPATH=$(BENCH_BUILD)/gopath \
+		XDG_CONFIG_HOME=$(BENCH_BUILD)/config GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly \
+		$(GO) -C _benchmark test .
 
 # Planner and data-plane microbenchmarks (cost-table build, reference vs
 # memoized search, engine heap churn, batcher flush, traced runner path).

@@ -197,7 +197,9 @@ func RunSplit(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.Spe
 // path runs one split per dispatched batch, so recycling the two slices
 // removes the dominant steady-state allocation. Scalar fields are reset
 // and the slices truncated to length zero (capacity kept); the caller must
-// treat any previous contents of res as dead.
+// treat any previous contents of res as dead. res also carries the pad
+// attribution's scratch, so a caller that builds a fresh Result per call
+// allocates it on every call.
 //
 //e3:hotpath runs one split per dispatched batch; recycled Result slices are the point
 func RunSplitInto(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.Spec, slowdown float64, res *Result) {
@@ -228,7 +230,7 @@ func RunSplitInto(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu
 	// k. The time loop turns this into the pad-waste attribution.
 	span := to - from + 2
 	if cap(res.padHist) < span {
-		res.padHist = make([]int, span) //e3:alloc one-time scratch grow; reused across calls once capacity covers the widest segment
+		res.padHist = make([]int, span) //e3:alloc scratch grow: once per Result, then only for a wider split
 	} else {
 		res.padHist = res.padHist[:span]
 		for i := range res.padHist {

@@ -4,18 +4,24 @@
 // sampled conservation ledgers, and batch pool — executed by a
 // deterministic parallel shard runner and fed by a GPU-aware router.
 //
-// Time is divided into routing epochs. At each epoch boundary the
-// coordinator (a single goroutine) mints the epoch's arrivals from
-// per-tenant Poisson streams, scores every replica from the telemetry the
-// replicas already export (queue depth, in-flight backlog, utilization,
-// SLO budget burn), routes the arrivals with a smooth weighted
-// round-robin over those scores (front-door admission shedding arrivals
-// the whole fleet is too backlogged to serve), and injects each replica's
-// share into its event loop. The shards then advance in parallel to the
-// epoch boundary — they share nothing, so one goroutine per shard is
-// safe — and barrier-synchronize before the next routing decision.
+// Time is divided into routing epochs. Each tenant's fleet-wide arrivals
+// come from a seeded Poisson stream and difficulty generator, minted one
+// epoch at a time into compact per-tenant buffers. At each epoch boundary
+// the coordinator (a single goroutine) scores every replica from the
+// telemetry the replicas already export (queue depth, in-flight backlog,
+// utilization, SLO budget burn), routes the epoch's arrivals with a
+// smooth weighted round-robin over those scores (front-door admission
+// shedding arrivals the whole fleet is too backlogged to serve), and
+// writes each replica's share as a run of indices into the buffer, which
+// the replica's event loop walks. The shard runner then advances the
+// shards to the epoch boundary and, on the same worker pool, mints every
+// tenant's next epoch into its other buffer — a shard writes only its own
+// state and a mint job only its tenant's source and the buffer no shard
+// reads, so they run in parallel — and barrier-synchronizes before the
+// next routing decision.
 //
-// Because routing depends only on barrier-time snapshots and each shard's
+// Because routing depends only on barrier-time snapshots, arrivals are
+// minted in stream order whichever goroutine mints them, and each shard's
 // execution between barriers is a deterministic single-goroutine event
 // loop, the fleet result — every ledger digest, every router decision —
 // is byte-identical to a serial reference execution of the same shards in
@@ -136,6 +142,8 @@ type replicaTenant struct {
 	budget *slo.Budget
 	// lastBurn is the burn rate ObserveWindow reported at the last barrier.
 	lastBurn float64
+	// run is the stack's share of the current epoch's arrivals.
+	run *arrivalRun
 }
 
 // Replica is one shard: a complete serving stack on its own engine. All
@@ -165,20 +173,15 @@ func (r *Replica) Engine() *sim.Engine { return r.eng }
 // Pool exposes the shard-owned batch pool (ownership regression test).
 func (r *Replica) Pool() *workload.BatchPool { return r.pool }
 
-// Fleet is a built deployment: replicas plus the coordinator-owned
-// router, streams, and generators.
+// Fleet is a built deployment: replicas plus the router and the
+// per-tenant arrival sources.
 type Fleet struct {
 	cfg      Config
 	replicas []*Replica
 	router   *Router
-	// streams/gens mint each tenant's fleet-wide arrivals; both are owned
-	// by the coordinator goroutine, never a shard.
-	streams []*trace.PoissonStream
-	gens    []*workload.Generator
-	// pending holds the next not-yet-consumed arrival per tenant stream
-	// (NaN-free: ok=false when the stream is exhausted).
-	pending   []float64
-	pendingOK []bool
+	// sources mint each tenant's fleet-wide arrivals, in config tenant
+	// order. A source is never touched by a shard's event loop.
+	sources []*source
 }
 
 // planScale returns the fraction of fleet-wide tenant demand replica r
@@ -224,11 +227,9 @@ func New(cfg Config) (*Fleet, error) {
 		// Distinct deterministic seeds per tenant so streams and
 		// difficulty draws are independent but reproducible.
 		seed := cfg.Seed + int64(ti)*1_000_003
-		f.streams = append(f.streams, trace.NewPoissonStream(t.Rate, cfg.Horizon, seed))
-		f.gens = append(f.gens, workload.NewGenerator(t.Dist, seed+7))
-		at, ok := f.streams[ti].Next()
-		f.pending = append(f.pending, at)
-		f.pendingOK = append(f.pendingOK, ok)
+		f.sources = append(f.sources, newSource(
+			trace.NewPoissonStream(t.Rate, cfg.Horizon, seed),
+			workload.NewGenerator(t.Dist, seed+7)))
 	}
 	return f, nil
 }
@@ -277,11 +278,13 @@ func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string][]mult
 		if st == nil {
 			return nil, fmt.Errorf("fleet: replica %d: tenant %q missing from deployment", idx, t.Name)
 		}
-		rep.tenants = append(rep.tenants, &replicaTenant{
+		rt := &replicaTenant{
 			st:       *st,
 			capacity: st.Alloc.Plan.Goodput,
 			budget:   slo.NewBudget(slo.DefaultTarget, slo.DefaultBurnThreshold),
-		})
+		}
+		rt.run = newArrivalRun(eng, rt)
+		rep.tenants = append(rep.tenants, rt)
 	}
 	return rep, nil
 }
@@ -318,33 +321,6 @@ func planWithBackoff(clus *cluster.Cluster, tenants []multi.Tenant) ([]multi.All
 		}
 	}
 	return nil, err
-}
-
-// inject schedules one tenant's routed arrivals into the shard's event
-// loop as a single self-rescheduling closure (one live event per stream,
-// as in serving.RunOpenLoopStream). The destination ledger records the
-// arrival at its virtual time, then the batcher admits or sheds it.
-// Called by the coordinator at an epoch boundary, before the shard
-// advances; samples must be sorted by arrival time (they are — routing
-// preserves stream order).
-func (r *Replica) inject(tenantIdx int, samples []workload.Sample) {
-	if len(samples) == 0 {
-		return
-	}
-	rt := r.tenants[tenantIdx]
-	rt.routed += len(samples)
-	i := 0
-	var step func()
-	step = func() {
-		s := samples[i]
-		rt.st.Coll.Audit.Arrived(s.ID, r.eng.Now())
-		rt.st.Batcher.Arrive(s)
-		i++
-		if i < len(samples) {
-			r.eng.At(samples[i].Arrival, step)
-		}
-	}
-	r.eng.At(samples[0].Arrival, step)
 }
 
 // Advance runs the shard's event loop to the barrier time. It is the

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"e3/internal/workload"
 )
-
-// snapKey identifies one (replica, tenant) stack in snapshot maps.
-// Indexed arrays keep everything allocation-light and ordered.
 
 // ReplicaSnapshot is the telemetry the router reads at an epoch barrier —
 // all of it already exported by the serving stacks: batcher queue depth,
@@ -63,6 +58,12 @@ type Router struct {
 	nReplicas int
 	// credits[t][r] is tenant t's smooth-WRR credit for replica r.
 	credits [][]float64
+	// inflight, caps and runs are per-replica scratch reused by every
+	// route call: the tenant's backlog view, planned capacities and
+	// arrival runs.
+	inflight []int
+	caps     []float64
+	runs     []*arrivalRun
 	// Log is the append-only decision record; its Digest is part of the
 	// fleet determinism contract.
 	Log []EpochDecision
@@ -75,7 +76,12 @@ type Router struct {
 
 // NewRouter builds a router for nReplicas × nTenants credit lanes.
 func NewRouter(nReplicas, nTenants int) *Router {
-	r := &Router{nReplicas: nReplicas}
+	r := &Router{
+		nReplicas: nReplicas,
+		inflight:  make([]int, nReplicas),
+		caps:      make([]float64, nReplicas),
+		runs:      make([]*arrivalRun, nReplicas),
+	}
 	for i := 0; i < nTenants; i++ {
 		r.credits = append(r.credits, make([]float64, nReplicas))
 	}
@@ -130,78 +136,84 @@ func (ro *Router) Snapshots(f *Fleet) []ReplicaSnapshot {
 	return out
 }
 
-// RouteEpoch mints every tenant arrival in (start, end], applies
+// RouteEpoch routes every tenant arrival in (start, end]: it applies
 // front-door admission, assigns survivors to replicas by smooth WRR over
 // barrier-time scores, and injects each replica's share into its event
-// loop. Coordinator-only; must run between barriers, never concurrently
-// with shard execution.
+// loop. Arrivals come from the epoch's buffer when Run minted it ahead,
+// and are minted here otherwise. Coordinator-only; must run between
+// barriers, never concurrently with shard execution.
 func (ro *Router) RouteEpoch(f *Fleet, epoch int, start, end float64) EpochDecision {
 	snaps := ro.Snapshots(f)
 	dec := EpochDecision{Epoch: epoch, End: end}
-	for ti, t := range f.cfg.Tenants {
-		td := TenantDecision{
-			Tenant: t.Name,
-			Scores: make([]float64, ro.nReplicas),
-			Routed: make([]int, ro.nReplicas),
-		}
-		// The tenant's score row and mutable backlog view for this epoch.
-		inflight := make([]int, ro.nReplicas)
-		for _, s := range snaps {
-			if s.Tenant != t.Name {
-				continue
-			}
-			td.Scores[s.Replica] = s.Score
-			inflight[s.Replica] = s.Inflight + s.QueueDepth
-		}
-		total := 0.0
-		for _, s := range td.Scores {
-			total += s
-		}
-		perReplica := make([][]workload.Sample, ro.nReplicas)
-		for f.pendingOK[ti] && f.pending[ti] <= end {
-			at := f.pending[ti]
-			f.pending[ti], f.pendingOK[ti] = f.streams[ti].Next()
-			// Mint in stream order so IDs and difficulty draws are
-			// independent of routing. Shed samples consume a draw too —
-			// they existed — but reach no ledger; only the router
-			// remembers them (Minted = RoutedTotal + ShedTotal).
-			s := f.gens[ti].Next(at, t.SLO)
-			ro.Minted++
-			// Front-door admission: if even the least-loaded replica's
-			// estimated backlog at this arrival's time — epoch-start
-			// inflight plus what we routed it this epoch, minus what it
-			// drains at planned capacity by then — cannot clear within
-			// the SLO, the deadline is hopeless fleet-wide: shed at the
-			// door instead of burning a replica's queue on it.
-			if doorHopeless(inflight, f, ti, t.SLO, at-start) {
-				td.Shed++
-				ro.ShedTotal++
-				continue
-			}
-			pick := ro.pickWRR(ti, td.Scores, total)
-			td.Routed[pick]++
-			ro.RoutedTotal++
-			inflight[pick]++
-			perReplica[pick] = append(perReplica[pick], s)
-		}
-		for r, share := range perReplica {
-			f.replicas[r].inject(ti, share)
-		}
-		dec.Tenants = append(dec.Tenants, td)
+	for ti := range f.cfg.Tenants {
+		b := f.sources[ti].minted(epoch, end)
+		dec.Tenants = append(dec.Tenants, ro.route(f, ti, snaps, b, start))
 	}
 	ro.Log = append(ro.Log, dec)
 	return dec
 }
 
+// route is RouteEpoch for one tenant's minted epoch buffer b. Shed
+// arrivals consumed an ID and a difficulty draw too — they existed — but
+// reach no ledger; only the router remembers them (Minted = RoutedTotal +
+// ShedTotal).
+func (ro *Router) route(f *Fleet, ti int, snaps []ReplicaSnapshot, b *epochBuf, start float64) TenantDecision {
+	t := f.cfg.Tenants[ti]
+	td := TenantDecision{
+		Tenant: t.Name,
+		Scores: make([]float64, ro.nReplicas),
+		Routed: make([]int, ro.nReplicas),
+	}
+	// The tenant's score row and mutable backlog view for this epoch.
+	inflight, caps, runs := ro.inflight, ro.caps, ro.runs
+	for _, s := range snaps {
+		if s.Tenant != t.Name {
+			continue
+		}
+		td.Scores[s.Replica] = s.Score
+		inflight[s.Replica] = s.Inflight + s.QueueDepth
+	}
+	total := 0.0
+	for _, s := range td.Scores {
+		total += s
+	}
+	for r, rep := range f.replicas {
+		caps[r] = rep.tenants[ti].capacity
+		runs[r] = rep.beginRun(ti, b)
+	}
+	ro.Minted += len(b.recs)
+	for i, rc := range b.recs {
+		// Front-door admission: if even the least-loaded replica's
+		// estimated backlog at this arrival's time — epoch-start
+		// inflight plus what we routed it this epoch, minus what it
+		// drains at planned capacity by then — cannot clear within
+		// the SLO, the deadline is hopeless fleet-wide: shed at the
+		// door instead of burning a replica's queue on it.
+		if doorHopeless(inflight, caps, t.SLO, rc.at-start) {
+			td.Shed++
+			ro.ShedTotal++
+			continue
+		}
+		pick := ro.pickWRR(ti, td.Scores, total)
+		td.Routed[pick]++
+		ro.RoutedTotal++
+		inflight[pick]++
+		runs[pick].idx = append(runs[pick].idx, int32(i))
+	}
+	for _, rep := range f.replicas {
+		rep.inject(ti)
+	}
+	return td
+}
+
 // doorHopeless reports whether no replica can clear its estimated
 // backlog for this tenant within the SLO — the fleet-level analogue of
 // the batcher's deadlineHopeless check. The estimate drains the
-// barrier-time backlog at planned capacity for the `elapsed` seconds
-// since the epoch started, so arrivals late in an epoch are not charged
-// for backlog the replica has already worked off.
-func doorHopeless(inflight []int, f *Fleet, ti int, slo, elapsed float64) bool {
-	for r := range inflight {
-		cap := f.replicas[r].tenants[ti].capacity
+// barrier-time backlog at planned capacity caps[r] for the `elapsed`
+// seconds since the epoch started, so arrivals late in an epoch are not
+// charged for backlog the replica has already worked off.
+func doorHopeless(inflight []int, caps []float64, slo, elapsed float64) bool {
+	for r, cap := range caps {
 		if cap <= 0 {
 			continue
 		}

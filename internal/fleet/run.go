@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 )
 
 // TenantResult is one (replica, tenant) stack's terminal accounting.
@@ -58,33 +59,48 @@ type Result struct {
 
 // Run executes the fleet to its horizon: per epoch, the coordinator
 // routes the epoch's arrivals from barrier-time snapshots, the shard
-// runner advances every replica to the barrier (in parallel at
-// cfg.Workers, serially in index order at ≤1), and budgets burn at the
-// barrier. After the last epoch the shards drain and the run verifies
-// its conservation invariants.
+// runner advances every replica to the barrier while it mints each
+// tenant's next epoch (in parallel at cfg.Workers, serially in index
+// order at ≤1), and budgets burn at the barrier. After the last epoch the
+// epoch buffers are released, the shards drain and the run verifies its
+// conservation invariants.
 func Run(cfg Config) (*Result, error) {
 	f, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	cfg = f.cfg // epoch clamping applied
+	nRep := len(f.replicas)
 	epochs := 0
 	for start := 0.0; start < cfg.Horizon; epochs++ {
-		end := cfg.EpochDur * float64(epochs+1)
-		if end > cfg.Horizon {
-			end = cfg.Horizon
-		}
+		end := epochEnd(cfg, epochs)
 		f.router.RouteEpoch(f, epochs, start, end)
-		if err := runShards(f.replicas, cfg.Workers, func(r *Replica) error {
-			return r.Advance(end)
+		// Jobs 0..nRep-1 advance the shards; the rest mint the next
+		// epoch, one job per tenant, unless this epoch is the last.
+		jobs, next, nextEnd := nRep, epochs+1, epochEnd(cfg, epochs+1)
+		if end < cfg.Horizon {
+			jobs += len(f.sources)
+		}
+		if err := runShards(jobs, cfg.Workers, func(i int) error {
+			if i < nRep {
+				return f.replicas[i].Advance(end)
+			}
+			f.sources[i-nRep].mint(next, nextEnd)
+			return nil
 		}); err != nil {
 			return nil, fmt.Errorf("fleet: epoch %d: %w", epochs, err)
 		}
 		f.burnBudgets(cfg.EpochDur)
 		start = end
 	}
-	if err := runShards(f.replicas, cfg.Workers, func(r *Replica) error {
-		return r.Drain()
+	f.releaseEpochs()
+	// A drained shard's ledgers are final, so each drain job also
+	// serializes its shard's digest.
+	digests := make([]string, nRep)
+	if err := runShards(nRep, cfg.Workers, func(i int) error {
+		err := f.replicas[i].Drain()
+		digests[i] = f.replicas[i].Digest()
+		return err
 	}); err != nil {
 		return nil, fmt.Errorf("fleet: drain: %w", err)
 	}
@@ -97,11 +113,29 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	res := f.collect(epochs)
+	res := f.collect(epochs, digests)
 	if err := res.Verify(); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// epochEnd is the virtual time at which epoch e ends.
+func epochEnd(cfg Config, e int) float64 {
+	return math.Min(cfg.EpochDur*float64(e+1), cfg.Horizon)
+}
+
+// releaseEpochs drops every epoch buffer and arrival run once the last
+// epoch is served, so the drain does not carry them.
+func (f *Fleet) releaseEpochs() {
+	for _, s := range f.sources {
+		s.release()
+	}
+	for _, rep := range f.replicas {
+		for _, rt := range rep.tenants {
+			rt.run.buf, rt.run.idx = nil, nil
+		}
+	}
 }
 
 // burnBudgets runs at each barrier: every stack's epoch window feeds its
@@ -118,8 +152,9 @@ func (f *Fleet) burnBudgets(epochDur float64) {
 	}
 }
 
-// collect assembles the terminal Result.
-func (f *Fleet) collect(epochs int) *Result {
+// collect assembles the terminal Result; digests[i] is replica i's
+// Digest.
+func (f *Fleet) collect(epochs int, digests []string) *Result {
 	res := &Result{
 		Config:       f.cfg,
 		Epochs:       epochs,
@@ -128,12 +163,12 @@ func (f *Fleet) collect(epochs int) *Result {
 		DoorShed:     f.router.ShedTotal,
 		RouterDigest: f.router.Digest(),
 	}
-	for _, rep := range f.replicas {
+	for i, rep := range f.replicas {
 		sr := ShardResult{
 			Index:  rep.Index,
 			GPUs:   gpuString(rep.Spec),
 			Events: rep.eng.Processed(),
-			Digest: rep.Digest(),
+			Digest: digests[i],
 		}
 		res.Events += sr.Events
 		for ti, rt := range rep.tenants {

@@ -41,6 +41,10 @@ type Pipeline struct {
 	// a buffer is handed to RunSplitInto, rides the grouped completion
 	// event, and returns here once the collector has consumed it.
 	compFree [][]exec.Completion
+	// res is the Result every batch's split runs into, so its scratch
+	// survives across batches. Its Completions and Survivors are handed
+	// off after each run and replaced before the next.
+	res exec.Result
 }
 
 // maxCompFree bounds the completion-buffer free list, mirroring the batch
@@ -248,12 +252,12 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 	// pipeline's own free list (Put back after the grouped completion event
 	// fires). With no pool both start empty and RunSplitInto allocates as
 	// RunSplit would — either way the values written are identical.
-	var res exec.Result
+	res := &p.res
+	res.Completions, res.Survivors = p.getCompBuf(len(batch)), nil
 	if p.pool != nil {
-		res.Completions = p.getCompBuf(len(batch))
 		res.Survivors = p.pool.Get(len(batch))[:0]
 	}
-	exec.RunSplitInto(p.model, st.split.From, st.split.To, batch, dev.Spec(), dev.Slowdown, &res)
+	exec.RunSplitInto(p.model, st.split.From, st.split.To, batch, dev.Spec(), dev.Slowdown, res)
 	p.coll.Util.AddBusy(dev.ID, now, res.Duration)
 	p.coll.Trace.Execute(dev.ID, string(dev.Kind), si, len(batch), now, now+res.Duration)
 	p.coll.Attr.Executed(si, batch, now, now+res.Duration)
