@@ -12,6 +12,7 @@ import (
 
 	"e3/internal/experiments"
 	"e3/internal/flame"
+	"e3/internal/serving"
 )
 
 // writeFlameArtifacts exports one profile in whichever of the three
@@ -59,35 +60,15 @@ func writeFlameArtifacts(prof *flame.Profile, outJSON, outFolded, outPprof strin
 // profile does not reconcile exactly against the utilization ledger.
 func runFlameDemo(runner, outJSON, outFolded, outPprof string) int {
 	fl := flame.NewProfiler(0)
-	var (
-		err  error
-		stat flame.ReconcileStat
-	)
-	switch runner {
-	case "pipeline":
-		r, coll, _, e := experiments.RunProfiledDemo(nil, nil, fl, demoHorizon)
-		if e != nil {
-			err = e
-		} else {
-			stat = fl.Verify(coll.Util)
-			err = r.Err()
-		}
-	case "serial":
-		r, coll, _, e := experiments.RunProfiledSerialDemo(fl, demoHorizon)
-		if e != nil {
-			err = e
-		} else {
-			stat = fl.Verify(coll.Util)
-			err = r.Err()
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "e3-bench: -flame-runner must be pipeline or serial (got %q)\n", runner)
-		return 2
+	rep, coll, _, err := experiments.RunDemo(runner, serving.Observe{Flame: fl}, demoHorizon)
+	if err == nil {
+		err = rep.Err()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "e3-bench:", err)
 		return 1
 	}
+	stat := fl.Verify(coll.Util)
 	prof := fl.Profile()
 	if werr := writeFlameArtifacts(prof, outJSON, outFolded, outPprof); werr != nil {
 		fmt.Fprintln(os.Stderr, "e3-bench:", werr)

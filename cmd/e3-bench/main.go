@@ -24,6 +24,7 @@ import (
 	"e3/internal/flame"
 	"e3/internal/forecast"
 	"e3/internal/replan"
+	"e3/internal/serving"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
 )
@@ -175,7 +176,7 @@ const demoHorizon = 10.0
 // per-split occupancy summary and the audit verdict.
 func exportTrace(path string) error {
 	tr := telemetry.New()
-	rep, _, plan, err := experiments.RunTracedDemo(tr, demoHorizon)
+	rep, _, plan, err := experiments.RunDemo("pipeline", serving.Observe{Trace: tr}, demoHorizon)
 	if err != nil {
 		return err
 	}
@@ -244,7 +245,7 @@ func bestOfWall(fn func() error) (float64, error) {
 func exportBench(path string) error {
 	// Stats run: unbounded tracer for the occupancy summary.
 	tr := telemetry.New()
-	rep, coll, _, err := experiments.RunTracedDemo(tr, demoHorizon)
+	rep, coll, _, err := experiments.RunDemo("pipeline", serving.Observe{Trace: tr}, demoHorizon)
 	if err != nil {
 		return err
 	}
@@ -270,14 +271,14 @@ func exportBench(path string) error {
 
 	// Overhead runs: telemetry off vs. the live-serving ring config.
 	off, err := bestOfWall(func() error {
-		_, _, _, err := experiments.RunTracedDemo(nil, demoHorizon)
+		_, _, _, err := experiments.RunDemo("pipeline", serving.Observe{}, demoHorizon)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	on, err := bestOfWall(func() error {
-		_, _, _, err := experiments.RunTracedDemo(telemetry.NewRing(4096), demoHorizon)
+		_, _, _, err := experiments.RunDemo("pipeline", serving.Observe{Trace: telemetry.NewRing(4096)}, demoHorizon)
 		return err
 	})
 	if err != nil {

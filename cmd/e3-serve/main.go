@@ -154,8 +154,8 @@ func main() {
 		// expose.
 		attr := slo.NewAttribution(slo.DefaultTopK)
 		fl := flame.NewProfiler(0)
-		rep, coll, err := serving.ProfiledPlan(clus, m, plan, workload.Mix(*easy),
-			plan.Goodput, 10.0, sloDur.Seconds(), 1, tr, attr, fl)
+		rep, coll, err := serving.AuditPlan(clus, m, plan, workload.Mix(*easy),
+			plan.Goodput, 10.0, sloDur.Seconds(), 1, serving.Observe{Trace: tr, Attr: attr, Flame: fl})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "e3-serve: boot run failed:", err)
 			os.Exit(1)

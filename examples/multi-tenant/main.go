@@ -49,22 +49,20 @@ func main() {
 	}
 
 	eng := sim.NewEngine()
-	fleet, err := multi.Deploy(eng, clus, tenants, allocs)
+	stacks, err := multi.DeployServing(eng, clus, tenants, allocs, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Serve both tenants at their demanded rates for 5 virtual seconds.
-	for _, tn := range tenants {
-		tn := tn
+	// Serve both tenants at their demanded rates for 5 virtual seconds,
+	// straight into each tenant's pipeline.
+	for _, st := range stacks {
+		tn, pipe := st.Spec, st.Pipe
 		gen := workload.NewGenerator(tn.Dist, 7)
 		interval := float64(tn.Batch) / tn.Rate
 		for at := interval; at < 5; at += interval {
-			at := at
 			eng.At(at, func() {
-				if err := fleet.Ingest(tn.Name, gen.Batch(tn.Batch, eng.Now(), tn.SLO)); err != nil {
-					log.Fatal(err)
-				}
+				pipe.Ingest(gen.Batch(tn.Batch, eng.Now(), tn.SLO))
 			})
 		}
 	}
@@ -72,16 +70,18 @@ func main() {
 	if err := eng.RunAll(); err != nil {
 		log.Fatal(err)
 	}
-	fleet.FlushAll()
+	for _, st := range stacks {
+		st.Pipe.FlushAll()
+	}
 	if err := eng.RunAll(); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("\nserved:")
-	for _, tn := range tenants {
-		c := fleet.Collector(tn.Name)
+	for _, st := range stacks {
+		c := st.Coll
 		c.Good.CloseAt(eng.Now())
 		fmt.Printf("  %-11s %6.0f req/s goodput  (%d violations, %d drops)  %s\n",
-			tn.Name, c.Good.Goodput(), c.Violations, c.Dropped, c.Lat.Summarize())
+			st.Spec.Name, c.Good.Goodput(), c.Violations, c.Dropped, c.Lat.Summarize())
 	}
 }

@@ -76,8 +76,8 @@ func RunAudit() (Table, int) {
 
 	violations := 0
 	for _, rc := range cases {
-		rep, _, err := serving.TracedOpenLoop(rc.mk, base.NumLayers(), arr, dist, rc.est, defaultSLO, batch, seed,
-			telemetry.NewRing(4096))
+		rep, _, err := serving.AuditOpenLoop(rc.mk, base.NumLayers(), arr, dist, rc.est, defaultSLO, batch, seed,
+			serving.Observe{Trace: telemetry.NewRing(4096)})
 		if err != nil {
 			t.Rows = append(t.Rows, []string{rc.name, "-", "-", "-", "-", "-", "-", "-", "build failed: " + err.Error()})
 			violations++

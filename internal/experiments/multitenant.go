@@ -47,20 +47,20 @@ func ExtensionMultiTenant() Table {
 		return t
 	}
 	eng := sim.NewEngine()
-	fleet, err := multi.Deploy(eng, clus, tenants, allocs)
+	stacks, err := multi.DeployServing(eng, clus, tenants, allocs, 1, nil)
 	if err != nil {
 		return t
 	}
 
-	// Offer each tenant exactly its demanded rate for 3 virtual seconds.
-	for _, tn := range tenants {
-		tn := tn
+	// Offer each tenant exactly its demanded rate for 3 virtual seconds,
+	// straight into its pipeline.
+	for _, st := range stacks {
+		tn, pipe := st.Spec, st.Pipe
 		gen := workload.NewGenerator(tn.Dist, 311)
 		interval := float64(tn.Batch) / tn.Rate
 		for at := interval; at < 3.0; at += interval {
-			at := at
 			eng.At(at, func() {
-				_ = fleet.Ingest(tn.Name, gen.Batch(tn.Batch, eng.Now(), tn.SLO))
+				pipe.Ingest(gen.Batch(tn.Batch, eng.Now(), tn.SLO))
 			})
 		}
 	}
@@ -69,20 +69,16 @@ func ExtensionMultiTenant() Table {
 		t.Notes += " [ABORTED: " + err.Error() + "]"
 		return t
 	}
-	fleet.FlushAll()
+	for _, st := range stacks {
+		st.Pipe.FlushAll()
+	}
 	if err := eng.RunAll(); err != nil {
 		t.Notes += " [ABORTED: " + err.Error() + "]"
 		return t
 	}
 
-	for _, a := range fleet.Allocations() {
-		var tn multi.Tenant
-		for _, cand := range tenants {
-			if cand.Name == a.Tenant {
-				tn = cand
-			}
-		}
-		c := fleet.Collector(a.Tenant)
+	for _, st := range stacks {
+		c, a := st.Coll, st.Alloc
 		c.Good.CloseAt(eng.Now())
 		total := c.Good.Served + c.Violations + c.Dropped
 		bad := 0.0
@@ -90,7 +86,7 @@ func ExtensionMultiTenant() Table {
 			bad = float64(c.Violations+c.Dropped) / float64(total)
 		}
 		t.Rows = append(t.Rows, []string{
-			a.Tenant, f0(tn.Rate), itoa(len(a.Devices)), f0(a.Plan.Goodput),
+			a.Tenant, f0(st.Spec.Rate), itoa(len(a.Devices)), f0(a.Plan.Goodput),
 			f0(c.Good.Goodput()), pct(bad),
 		})
 	}

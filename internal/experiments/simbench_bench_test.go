@@ -34,9 +34,9 @@ func BenchmarkTracedRunnerPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := telemetry.NewRing(4096)
-		rep, _, err := serving.TracedOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+		rep, _, err := serving.AuditOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
 			return scheduler.NewPipeline(eng, mk(), dee, plan, coll)
-		}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, 8, 7, tr)
+		}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, 8, 7, serving.Observe{Trace: tr})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,18 +1,17 @@
 package experiments
 
 import (
+	"fmt"
+
 	"e3/internal/audit"
 	"e3/internal/cluster"
 	"e3/internal/ee"
-	"e3/internal/flame"
 	"e3/internal/gpu"
 	"e3/internal/model"
 	"e3/internal/optimizer"
 	"e3/internal/scheduler"
 	"e3/internal/serving"
 	"e3/internal/sim"
-	"e3/internal/slo"
-	"e3/internal/telemetry"
 	"e3/internal/trace"
 )
 
@@ -34,14 +33,17 @@ const (
 	DemoBatch   int     = tracedBatch
 )
 
-// RunProfiledDemo plans the demo setting and replays it through the E3
-// pipeline with the given tracer, per-request attribution, and compute
-// profiler attached end to end (any may be nil; all nil measures the
-// unobserved baseline). The returned report has the tracer's counters,
-// the attribution's breakdown checks, and the flame fold's exact
-// busy/idle accounting reconciled against the ledger; horizon is virtual
-// seconds of bursty arrivals.
-func RunProfiledDemo(tr *telemetry.Tracer, attr *slo.Attribution, fl *flame.Profiler, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
+// RunDemo plans the demo setting and replays it through the named runner
+// — "pipeline" for the E3 pipeline, "serial" for the phase-synchronized
+// Serial runner of §5.8.7 on the same seed and plan — with obs's
+// observers attached end to end (the zero Observe measures the
+// unobserved baseline). The returned report has every observer
+// reconciled against the ledger; horizon is virtual seconds of bursty
+// arrivals.
+func RunDemo(runner string, obs serving.Observe, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
+	if runner != "pipeline" && runner != "serial" {
+		return nil, nil, optimizer.Plan{}, fmt.Errorf("experiments: demo runner must be pipeline or serial (got %q)", runner)
+	}
 	base := model.BERTBase()
 	dee := ee.NewDeeBERT(base, 0.4)
 	dist := mix80()
@@ -52,46 +54,14 @@ func RunProfiledDemo(tr *telemetry.Tracer, attr *slo.Attribution, fl *flame.Prof
 		return nil, nil, optimizer.Plan{}, err
 	}
 	arr := trace.Bursty(trace.DefaultBursty(tracedAvgRate), horizon, tracedSeed)
-	rep, coll, err := serving.ProfiledOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+	rep, coll, err := serving.AuditOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+		if runner == "serial" {
+			return scheduler.NewSerial(eng, mk(), dee, plan, coll), nil
+		}
 		return scheduler.NewPipeline(eng, mk(), dee, plan, coll)
-	}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, tracedBatch, tracedSeed, tr, attr, fl)
+	}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, tracedBatch, tracedSeed, obs)
 	if err != nil {
 		return nil, nil, optimizer.Plan{}, err
 	}
 	return rep, coll, plan, nil
-}
-
-// RunProfiledSerialDemo replays the same demo workload and plan through
-// the phase-synchronized Serial runner (§5.8.7) with the compute profiler
-// attached — the other half of the serial-vs-pipeline flame diff: same
-// seed, same plan, different runner, so every delta in the profile is the
-// runner's doing.
-func RunProfiledSerialDemo(fl *flame.Profiler, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
-	base := model.BERTBase()
-	dee := ee.NewDeeBERT(base, 0.4)
-	dist := mix80()
-	mk := func() *cluster.Cluster { return cluster.Homogeneous(gpu.V100, 8) }
-
-	plan, err := planE3(mk(), dee, dist, tracedBatch, defaultSLO, nil)
-	if err != nil {
-		return nil, nil, optimizer.Plan{}, err
-	}
-	arr := trace.Bursty(trace.DefaultBursty(tracedAvgRate), horizon, tracedSeed)
-	rep, coll, err := serving.ProfiledOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
-		return scheduler.NewSerial(eng, mk(), dee, plan, coll), nil
-	}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, tracedBatch, tracedSeed, nil, nil, fl)
-	if err != nil {
-		return nil, nil, optimizer.Plan{}, err
-	}
-	return rep, coll, plan, nil
-}
-
-// RunObservedDemo is RunProfiledDemo without compute profiling.
-func RunObservedDemo(tr *telemetry.Tracer, attr *slo.Attribution, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
-	return RunProfiledDemo(tr, attr, nil, horizon)
-}
-
-// RunTracedDemo is RunObservedDemo without per-request attribution.
-func RunTracedDemo(tr *telemetry.Tracer, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
-	return RunObservedDemo(tr, nil, horizon)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"e3/internal/serving"
 	"e3/internal/telemetry"
 )
 
@@ -14,7 +15,7 @@ import (
 // reconcile with the conservation ledger.
 func TestTracedDemoChromeExport(t *testing.T) {
 	tr := telemetry.New()
-	rep, coll, _, err := RunTracedDemo(tr, 2.0)
+	rep, coll, _, err := RunDemo("pipeline", serving.Observe{Trace: tr}, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestTracedDemoChromeExport(t *testing.T) {
 // retained spans.
 func TestTracedDemoRingReconciles(t *testing.T) {
 	tr := telemetry.NewRing(64)
-	rep, _, _, err := RunTracedDemo(tr, 2.0)
+	rep, _, _, err := RunDemo("pipeline", serving.Observe{Trace: tr}, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}

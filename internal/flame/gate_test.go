@@ -20,6 +20,7 @@ import (
 	"e3/internal/flame"
 	"e3/internal/forecast"
 	"e3/internal/replan"
+	"e3/internal/serving"
 )
 
 const gateHorizon = 2.0
@@ -29,7 +30,7 @@ const gateHorizon = 2.0
 func profiledDemoFold(t *testing.T) ([]byte, flame.ReconcileStat) {
 	t.Helper()
 	fl := flame.NewProfiler(0)
-	rep, coll, _, err := experiments.RunProfiledDemo(nil, nil, fl, gateHorizon)
+	rep, coll, _, err := experiments.RunDemo("pipeline", serving.Observe{Flame: fl}, gateHorizon)
 	if err != nil {
 		t.Fatalf("profiled demo: %v", err)
 	}
@@ -92,11 +93,11 @@ func TestFlameGateWorkerCountInvariant(t *testing.T) {
 
 func TestFlameGateSerialVsPipelineDiff(t *testing.T) {
 	flP := flame.NewProfiler(0)
-	if _, _, _, err := experiments.RunProfiledDemo(nil, nil, flP, gateHorizon); err != nil {
+	if _, _, _, err := experiments.RunDemo("pipeline", serving.Observe{Flame: flP}, gateHorizon); err != nil {
 		t.Fatalf("pipeline demo: %v", err)
 	}
 	flS := flame.NewProfiler(0)
-	if _, _, _, err := experiments.RunProfiledSerialDemo(flS, gateHorizon); err != nil {
+	if _, _, _, err := experiments.RunDemo("serial", serving.Observe{Flame: flS}, gateHorizon); err != nil {
 		t.Fatalf("serial demo: %v", err)
 	}
 	d := flame.Diff(flP.Profile(), flS.Profile())

@@ -82,8 +82,8 @@ func TestFlameAccountsLedgerExactlyAcrossSeedsAndRunners(t *testing.T) {
 			for seed := int64(1); seed <= propSeeds; seed++ {
 				arr := trace.Bursty(trace.DefaultBursty(propRate), propHorizon, seed)
 				fl := flame.NewProfiler(0)
-				rep, coll, err := serving.ProfiledOpenLoop(rc.mk, base.NumLayers(), arr, dist,
-					rc.est, propSLO, propBatch, seed, nil, nil, fl)
+				rep, coll, err := serving.AuditOpenLoop(rc.mk, base.NumLayers(), arr, dist,
+					rc.est, propSLO, propBatch, seed, serving.Observe{Flame: fl})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -129,9 +129,17 @@ func TestDeployAndServeBothTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	fleet, err := Deploy(eng, clus, tenants, allocs)
+	stacks, err := DeployServing(eng, clus, tenants, allocs, 1, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	byName := make(map[string]*ServingTenant)
+	for i := range stacks {
+		byName[stacks[i].Spec.Name] = &stacks[i]
+	}
+	ranker, vision := byName["ranker"], byName["vision"]
+	if ranker == nil || vision == nil {
+		t.Fatalf("deployment is missing a tenant: %v", byName)
 	}
 
 	genR := workload.NewGenerator(workload.Mix(0.8), 61)
@@ -139,32 +147,28 @@ func TestDeployAndServeBothTenants(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := float64(i) * 0.002
 		eng.At(at, func() {
-			if err := fleet.Ingest("ranker", genR.Batch(8, eng.Now(), 10)); err != nil {
-				t.Error(err)
-			}
-			if err := fleet.Ingest("vision", genV.Batch(16, eng.Now(), 10)); err != nil {
-				t.Error(err)
-			}
+			ranker.Pipe.Ingest(genR.Batch(8, eng.Now(), 10))
+			vision.Pipe.Ingest(genV.Batch(16, eng.Now(), 10))
 		})
 	}
 	eng.SetEventLimit(10_000_000)
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	fleet.FlushAll()
+	ranker.Pipe.FlushAll()
+	vision.Pipe.FlushAll()
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 
-	cr := fleet.Collector("ranker")
-	cv := fleet.Collector("vision")
+	cr, cv := ranker.Coll, vision.Coll
 	if got := cr.Good.Served + cr.Violations; got != 800 {
 		t.Errorf("ranker served+violated = %d, want 800", got)
 	}
 	if got := cv.Good.Served + cv.Violations; got != 1600 {
 		t.Errorf("vision served+violated = %d, want 1600", got)
 	}
-	if err := fleet.Ingest("nope", nil); err == nil {
-		t.Error("unknown tenant accepted")
+	if _, err := DeployServing(eng, clus, tenants[:1], allocs, 1, nil); err == nil {
+		t.Error("allocation for an unknown tenant accepted")
 	}
 }

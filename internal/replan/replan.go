@@ -396,11 +396,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	coll.Good.CloseAt(eng.Now())
-	cfg.Flame.CloseAt(eng.Now())
-	rep := coll.AuditReport()
-	cfg.Tracer.Reconcile(rep)
-	cfg.Attr.Reconcile(rep)
-	res.FlameStat = cfg.Flame.Reconcile(rep, coll.Util)
+	rep, flameStat := coll.Reconcile(eng.Now())
+	res.FlameStat = flameStat
 	if !rep.OK() {
 		cfg.Recorder.Trigger(slo.TriggerAuditViolation, rep.Violations[0], eng.Now())
 	}

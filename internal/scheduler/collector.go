@@ -8,6 +8,8 @@ package scheduler
 
 import (
 	"e3/internal/audit"
+	"e3/internal/cluster"
+	"e3/internal/exec"
 	"e3/internal/flame"
 	"e3/internal/metrics"
 	"e3/internal/profile"
@@ -25,7 +27,11 @@ type Runner interface {
 	Collector() *Collector
 }
 
-// Collector accumulates serving statistics.
+// Collector accumulates serving statistics and is the one place that
+// decides which observer sees which lifecycle boundary. Runners and the
+// batcher report each boundary once, through the methods below; the
+// collector fans it out to the ledger, tracer, attribution and profiler,
+// each nil-safe, so a runner never names an observer.
 type Collector struct {
 	SLO float64
 
@@ -41,26 +47,16 @@ type Collector struct {
 	// DroppedByReason breaks Dropped down by classified shed reason.
 	DroppedByReason map[audit.Reason]int
 
-	// Audit is an optional lifecycle ledger shared by the generator, the
-	// batcher, and the runner (nil disables auditing at zero cost).
+	// The observers, each optional (nil disables it at zero cost):
+	// Audit is the lifecycle ledger the generator also writes to; Trace
+	// records per-batch execute, transfer, fusion and queue-wait spans;
+	// Attr attributes each request's latency to its critical path; Flame
+	// folds executed batches, transfers and fusion waits into a
+	// virtual-time compute profile whose totals reconcile exactly against
+	// Util. Reconcile checks the other three against the ledger.
 	Audit *audit.Ledger
-
-	// Trace is an optional span tracer shared the same way (nil disables
-	// telemetry at zero cost). Runners record per-batch execute, transfer,
-	// and fusion spans; the collector records completion/drop events so the
-	// tracer's counters reconcile with the ledger.
 	Trace *telemetry.Tracer
-
-	// Attr is an optional per-request latency attribution sink shared the
-	// same way (nil disables it at zero cost). The batcher and runners feed
-	// it the same boundary events they feed the ledger; the collector
-	// records the terminal events so its counters reconcile with both.
-	Attr *slo.Attribution
-
-	// Flame is an optional virtual-time compute profiler fed the same
-	// boundary events (nil disables it at zero cost). Runners fold every
-	// executed batch, transfer, and fusion wait into it; its totals
-	// reconcile exactly against Util.
+	Attr  *slo.Attribution
 	Flame *flame.Profiler
 
 	// exitCounts[k] counts samples that exited after layer k (1-based).
@@ -82,6 +78,63 @@ func NewCollector(layers int, slo, start float64) *Collector {
 		layers:          layers,
 		DroppedByReason: make(map[audit.Reason]int),
 	}
+}
+
+// Register makes a device the runner serves on visible to the
+// utilization ledger and the profiler even if it never runs a batch.
+func (c *Collector) Register(dev *cluster.Device) {
+	c.Util.Register(dev.ID)
+	c.Flame.Register(dev.ID, string(dev.Kind))
+}
+
+// Queued records a sample's admission into a batcher queue.
+func (c *Collector) Queued(s workload.Sample, at float64) {
+	c.Audit.Queued(s.ID, at)
+	c.Attr.Queued(s, at)
+}
+
+// QueueWait records a batch of n leaving the batcher queue at end, its
+// head having entered it at start.
+func (c *Collector) QueueWait(n int, start, end float64) {
+	c.Trace.QueueWait(n, start, end)
+}
+
+// Dispatched records a sample handed to a stage's instance (a device
+// index) at virtual time at.
+func (c *Collector) Dispatched(s workload.Sample, at float64, stage, device int) {
+	c.Audit.Dispatched(s.ID, at, stage, device)
+	c.Attr.Dispatched(s, at, stage)
+}
+
+// Executed records one batch running layers [from, to] of the named model
+// as the given stage on dev from t0 for res.Duration, crediting the busy
+// time to the utilization ledger.
+func (c *Collector) Executed(dev *cluster.Device, model string, stage, from, to int, batch []workload.Sample, t0 float64, res *exec.Result) {
+	end := t0 + res.Duration
+	c.Util.AddBusy(dev.ID, t0, res.Duration)
+	c.Trace.Execute(dev.ID, string(dev.Kind), stage, len(batch), t0, end)
+	c.Attr.Executed(stage, batch, t0, end)
+	c.Flame.Execute(dev.ID, string(dev.Kind), model, stage, from, to, t0, end, res.RampTime, res.PadTime)
+}
+
+// Transferred records n survivors of stage moving their activations to
+// stage+1 over [start, end].
+func (c *Collector) Transferred(stage, n int, start, end float64) {
+	c.Trace.Transfer(stage, n, start, end)
+	c.Flame.Transfer(stage+1, start, end)
+}
+
+// Merged records a survivor entering stage's merge queue.
+func (c *Collector) Merged(s workload.Sample, at float64, stage int) {
+	c.Audit.Merged(s.ID, at, stage)
+	c.Attr.Merged(s, at, stage)
+}
+
+// Fused records a batch of n formed from stage's merge queue at end, its
+// head having waited there since start.
+func (c *Collector) Fused(stage, n int, start, end float64) {
+	c.Trace.Fuse(stage, n, start, end)
+	c.Flame.Fuse(stage, start, end)
 }
 
 // Complete records a sample finishing at virtual time `at` having exited
@@ -127,6 +180,19 @@ func (c *Collector) AuditReport() *audit.Report {
 	r := c.Audit.Verify()
 	r.CrossCheck(c.Good.Served+c.Violations, c.Dropped)
 	return r
+}
+
+// Reconcile closes the run at virtual time now: it extends the profile to
+// the run's end, verifies the ledger (AuditReport), and folds every
+// observer's disagreement with it into the returned report — tracer
+// counters, attributed breakdowns, and the profile's exact busy/idle
+// accounting against Util, whose outcome it also returns.
+func (c *Collector) Reconcile(now float64) (*audit.Report, flame.ReconcileStat) {
+	c.Flame.CloseAt(now)
+	rep := c.AuditReport()
+	c.Trace.Reconcile(rep)
+	c.Attr.Reconcile(rep)
+	return rep, c.Flame.Reconcile(rep, c.Util)
 }
 
 // ObservedProfile reconstructs the survival profile from the exit

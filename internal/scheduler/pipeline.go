@@ -111,8 +111,7 @@ func NewPipeline(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan opt
 			}
 			used[devIdx] = true
 			st.instances = append(st.instances, &instance{device: devIdx})
-			coll.Util.Register(clus.Devices[devIdx].ID)
-			coll.Flame.Register(clus.Devices[devIdx].ID, string(clus.Devices[devIdx].Kind))
+			coll.Register(&clus.Devices[devIdx])
 		}
 		if len(st.instances) != sp.Replicas {
 			return nil, fmt.Errorf("scheduler: need %d %s devices for split [%d,%d], cluster has fewer free",
@@ -201,8 +200,7 @@ func (p *Pipeline) dispatch(si int, batch []workload.Sample) {
 func (p *Pipeline) dispatchTo(si int, pick *instance, batch []workload.Sample) {
 	now := p.eng.Now()
 	for _, s := range batch {
-		p.coll.Audit.Dispatched(s.ID, now, si, pick.device)
-		p.coll.Attr.Dispatched(s, now, si)
+		p.coll.Dispatched(s, now, si, pick.device)
 	}
 	pick.queue = append(pick.queue, batch)
 	if !pick.busy {
@@ -246,7 +244,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		return
 	}
 
-	dev := p.clus.Devices[inst.device]
+	dev := &p.clus.Devices[inst.device]
 	// Hand RunSplitInto recycled output buffers: survivors come from the
 	// batch pool (they are Put back once merged), completions from the
 	// pipeline's own free list (Put back after the grouped completion event
@@ -258,11 +256,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		res.Survivors = p.pool.Get(len(batch))[:0]
 	}
 	exec.RunSplitInto(p.model, st.split.From, st.split.To, batch, dev.Spec(), dev.Slowdown, res)
-	p.coll.Util.AddBusy(dev.ID, now, res.Duration)
-	p.coll.Trace.Execute(dev.ID, string(dev.Kind), si, len(batch), now, now+res.Duration)
-	p.coll.Attr.Executed(si, batch, now, now+res.Duration)
-	p.coll.Flame.Execute(dev.ID, string(dev.Kind), p.model.Name, si, st.split.From, st.split.To,
-		now, now+res.Duration, res.RampTime, res.PadTime)
+	p.coll.Executed(dev, p.model.Name, si, st.split.From, st.split.To, batch, now, res)
 
 	// Straggler detection (§3.3): compare against the planned time for
 	// this exact batch size — partial batches have high fixed costs, so
@@ -303,8 +297,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 			TransferTime(p.model.Base.Layers[st.split.To-1].ActBytes * float64(len(res.Survivors)))
 		survivors := res.Survivors
 		xferStart := now + res.Duration + res.HandoffDelay
-		p.coll.Trace.Transfer(si, len(survivors), xferStart, xferStart+comm)
-		p.coll.Flame.Transfer(si+1, xferStart, xferStart+comm)
+		p.coll.Transferred(si, len(survivors), xferStart, xferStart+comm)
 		p.eng.After(res.Duration+res.HandoffDelay+comm, func() {
 			p.receive(si+1, survivors, target)
 		})
@@ -324,8 +317,7 @@ func (p *Pipeline) receive(si int, survivors []workload.Sample, dest *instance) 
 	st := p.stages[si]
 	now := p.eng.Now()
 	for _, s := range survivors {
-		p.coll.Audit.Merged(s.ID, now, si)
-		p.coll.Attr.Merged(s, now, si)
+		p.coll.Merged(s, now, si)
 		st.merge = append(st.merge, pendingSample{s: s, at: now, dest: dest})
 	}
 	// The merge queue copied every survivor by value; recycle the slice.
@@ -358,8 +350,7 @@ func (p *Pipeline) fuseAndDispatch(si, n int) {
 	st := p.stages[si]
 	headAt := st.merge[0].at
 	batch, dest := st.takeMerged(n, p.pool)
-	p.coll.Trace.Fuse(si, len(batch), headAt, p.eng.Now())
-	p.coll.Flame.Fuse(si, headAt, p.eng.Now())
+	p.coll.Fused(si, len(batch), headAt, p.eng.Now())
 	p.dispatchMerged(si, dest, batch)
 }
 

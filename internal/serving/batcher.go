@@ -20,6 +20,9 @@ import (
 type Batcher struct {
 	eng    *sim.Engine
 	runner scheduler.Runner
+	// coll is the runner's collector, read once at construction: every
+	// arrival, dispatch and shed reports to it.
+	coll *scheduler.Collector
 	// Batch is the target batch size.
 	Batch int
 	// EstService is the expected service time once dispatched; arrivals
@@ -48,14 +51,10 @@ func NewBatcher(eng *sim.Engine, r scheduler.Runner, batch int, estService, slac
 		batch = 1
 	}
 	return &Batcher{
-		eng: eng, runner: r, Batch: batch, EstService: estService, SlackFrac: slackFrac,
+		eng: eng, runner: r, coll: r.Collector(), Batch: batch, EstService: estService, SlackFrac: slackFrac,
 		flushAt: math.Inf(1),
 	}
 }
-
-// ledger returns the lifecycle ledger shared through the collector (nil
-// when auditing is off; audit methods are nil-safe).
-func (b *Batcher) ledger() *audit.Ledger { return b.runner.Collector().Audit }
 
 // SetPool attaches a batch pool; dispatched slices are drawn from it and
 // the runner (which owns them from dispatch on) returns them when done.
@@ -66,12 +65,11 @@ func (b *Batcher) SetPool(p *workload.BatchPool) { b.pool = p }
 func (b *Batcher) Arrive(s workload.Sample) {
 	now := b.eng.Now()
 	if b.deadlineHopeless(s, now) {
-		b.runner.Collector().Drop(s, now, audit.ReasonAdmission)
+		b.coll.Drop(s, now, audit.ReasonAdmission)
 		return
 	}
 	b.queue = append(b.queue, s)
-	b.ledger().Queued(s.ID, now)
-	b.runner.Collector().Attr.Queued(s, now)
+	b.coll.Queued(s, now)
 	if len(b.queue) >= b.Batch {
 		b.dispatch(b.Batch)
 		return
@@ -129,7 +127,7 @@ func (b *Batcher) dispatch(n int) {
 	b.queue = b.queue[:m]
 	// The head entered the queue at its arrival (admission happens in
 	// Arrive), so head wait = now − arrival.
-	b.runner.Collector().Trace.QueueWait(len(batch), batch[0].Arrival, b.eng.Now())
+	b.coll.QueueWait(len(batch), batch[0].Arrival, b.eng.Now())
 	b.runner.Ingest(batch)
 	b.disarmFlush()
 	b.armFlush()
@@ -200,7 +198,7 @@ func (b *Batcher) flush() {
 	kept := b.queue[:0]
 	for _, s := range b.queue {
 		if b.deadlineHopeless(s, now) {
-			b.runner.Collector().Drop(s, now, audit.ReasonSLAFlush)
+			b.coll.Drop(s, now, audit.ReasonSLAFlush)
 			continue
 		}
 		kept = append(kept, s)

@@ -17,6 +17,7 @@ import (
 
 	"e3/internal/experiments"
 	"e3/internal/flame"
+	"e3/internal/serving"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
 )
@@ -39,7 +40,7 @@ func timeDemo(tb testing.TB, mk func() (*telemetry.Tracer, *slo.Attribution, *fl
 	for i := 0; i < rounds; i++ {
 		tr, attr, fl := mk()
 		start := time.Now()
-		rep, coll, _, err := experiments.RunProfiledDemo(tr, attr, fl, gateHorizon)
+		rep, coll, _, err := experiments.RunDemo("pipeline", serving.Observe{Trace: tr, Attr: attr, Flame: fl}, gateHorizon)
 		elapsed := time.Since(start).Seconds() * 1e3
 		if err != nil {
 			tb.Fatal(err)
@@ -98,7 +99,7 @@ func TestTelemetryOverheadGate(t *testing.T) {
 
 func BenchmarkTracedDemoOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := experiments.RunTracedDemo(nil, gateHorizon); err != nil {
+		if _, _, _, err := experiments.RunDemo("pipeline", serving.Observe{}, gateHorizon); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +107,7 @@ func BenchmarkTracedDemoOff(b *testing.B) {
 
 func BenchmarkTracedDemoRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := experiments.RunTracedDemo(telemetry.NewRing(4096), gateHorizon); err != nil {
+		if _, _, _, err := experiments.RunDemo("pipeline", serving.Observe{Trace: telemetry.NewRing(4096)}, gateHorizon); err != nil {
 			b.Fatal(err)
 		}
 	}
