@@ -1,14 +1,14 @@
 # One-command verification for the builder and CI. `make verify` runs the
 # full recipe in dependency order: cheap structural checks first (build,
-# vet, invariant lint), then the test suites, then the race detector over
-# the event-loop packages, and finally the end-to-end lifecycle
-# conservation audit.
+# vet, gofmt, invariant lint), then the test suites, then the race
+# detector over the event-loop packages, and finally the end-to-end
+# lifecycle conservation audit.
 
 GO ?= go
 
-.PHONY: verify build vet lint lintgate test race audit replan overhead bench benchtest plangate simgate slogate flamegate fleetgate
+.PHONY: verify build vet fmtcheck lint lintgate test race audit replan overhead bench benchtest plangate simgate slogate flamegate fleetgate
 
-verify: build vet lintgate test race audit replan overhead plangate simgate slogate flamegate fleetgate benchtest
+verify: build vet fmtcheck lintgate test race audit replan overhead plangate simgate slogate flamegate fleetgate benchtest
 	@echo "verify: all checks passed"
 
 build:
@@ -16,6 +16,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go source in the tree is not gofmt-formatted, listing
+# the files (the benchmark's build state under .bench_build is skipped).
+fmtcheck:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l 2>&1); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # e3-lint enforces the simulator invariants (virtual time, seeded
 # randomness, epsilon-safe deadline math, ledger pairing, determinism

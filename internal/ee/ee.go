@@ -114,7 +114,9 @@ type EEModel struct {
 	// after layer k, sorted ascending. The final classifier after layer L
 	// is implicit and is not an early exit.
 	rampAfter []int
-	disabled  map[int]bool
+	// disabled[k] marks the ramp after layer k as turned off; it is
+	// indexed by layer so the per-sample exit walk does no map probes.
+	disabled []bool
 	// LMHeadRamp marks ramps that must project to the full vocabulary
 	// (CALM, Llama); their FLOP cost dwarfs classifier ramps.
 	LMHeadRamp bool
@@ -148,7 +150,7 @@ func New(name string, base *model.Model, p Policy, rampAfter []int, lmHead bool)
 		policy:     p,
 		depthScale: p.DepthScale(),
 		rampAfter:  ramps,
-		disabled:   make(map[int]bool),
+		disabled:   make([]bool, L),
 		LMHeadRamp: lmHead,
 	}, nil
 }
@@ -226,10 +228,7 @@ func NewLlamaEE(base *model.Model) *EEModel {
 func (m *EEModel) Clone() *EEModel {
 	cp := *m
 	cp.rampAfter = append([]int(nil), m.rampAfter...)
-	cp.disabled = make(map[int]bool, len(m.disabled))
-	for k, v := range m.disabled {
-		cp.disabled[k] = v
-	}
+	cp.disabled = append([]bool(nil), m.disabled...)
 	return &cp
 }
 
@@ -249,11 +248,7 @@ func (m *EEModel) ActiveRamps() []int {
 
 // HasRampAfter reports whether an enabled ramp follows layer k.
 func (m *EEModel) HasRampAfter(k int) bool {
-	if m.disabled[k] {
-		return false
-	}
-	i := sort.SearchInts(m.rampAfter, k)
-	return i < len(m.rampAfter) && m.rampAfter[i] == k
+	return m.hasRamp(k) && !m.disabled[k]
 }
 
 // Disable turns off the ramp after layer k (the §3.4 exit-wrapper).
@@ -270,7 +265,7 @@ func (m *EEModel) Enable(k int) error {
 	if !m.hasRamp(k) {
 		return fmt.Errorf("ee: no ramp after layer %d", k)
 	}
-	delete(m.disabled, k)
+	m.disabled[k] = false
 	return nil
 }
 

@@ -45,11 +45,11 @@ func toNanos(x float64) int64 {
 // Bubble-cause leaf frames. Interior gaps are classified by what the
 // device was waiting for; boundary gaps by where in the run they sit.
 const (
-	classQueueStarved = iota // device free, nothing upstream to run
-	classTransferBlocked     // survivors in flight toward this stage
-	classFuseBlocked         // merge queue holding survivors for re-formation
-	classDrained             // after the device's last batch, to end of run
-	classIdle                // before the device's first batch (or never ran)
+	classQueueStarved    = iota // device free, nothing upstream to run
+	classTransferBlocked        // survivors in flight toward this stage
+	classFuseBlocked            // merge queue holding survivors for re-formation
+	classDrained                // after the device's last batch, to end of run
+	classIdle                   // before the device's first batch (or never ran)
 	numClasses
 )
 
@@ -110,7 +110,7 @@ type devState struct {
 
 // execKey caches the three busy-leaf folded stacks per execution shape.
 type execKey struct {
-	dev, model   string
+	dev, model      string
 	split, from, to int
 }
 
@@ -185,7 +185,7 @@ func (p *Profiler) Register(devID, gpuKind string) {
 func (p *Profiler) dev(devID, gpuKind string) *devState {
 	d, ok := p.devs[devID]
 	if !ok {
-		d = &devState{id: devID, kind: gpuKind, lastEndN: p.startN}
+		d = &devState{id: devID, kind: gpuKind, lastEndN: p.startN} //e3:alloc warm-up: once per device
 		p.devs[devID] = d
 		p.order = append(p.order, devID)
 	}
@@ -300,7 +300,7 @@ func (p *Profiler) Transfer(toStage int, start, end float64) {
 	p.extendHorizon(end)
 	r := p.xfer[toStage]
 	if r == nil {
-		r = &ivlRing{}
+		r = &ivlRing{} //e3:alloc warm-up: one ring per stage
 		p.xfer[toStage] = r
 	}
 	r.push(toNanos(start), toNanos(end))
@@ -315,7 +315,7 @@ func (p *Profiler) Fuse(stage int, start, end float64) {
 	p.extendHorizon(end)
 	r := p.fuse[stage]
 	if r == nil {
-		r = &ivlRing{}
+		r = &ivlRing{} //e3:alloc warm-up: one ring per stage
 		p.fuse[stage] = r
 	}
 	r.push(toNanos(start), toNanos(end))
@@ -340,20 +340,20 @@ func (p *Profiler) execStacks(d *devState, model string, split, from, to int) *e
 	k := execKey{dev: d.id, model: model, split: split, from: from, to: to}
 	st, ok := p.execCache[k]
 	if !ok {
-		prefix := fmt.Sprintf("gpu:%s;dev:%s", escapeFrame(d.kind), escapeFrame(d.id))
+		prefix := fmt.Sprintf("gpu:%s;dev:%s", escapeFrame(d.kind), escapeFrame(d.id)) //e3:alloc warm-up: cached per execution shape
 		if model != "" {
 			// Span-replayed profiles (FromSpans) carry no model name and
 			// omit the frame rather than folding an empty one.
-			prefix += ";model:" + escapeFrame(model)
+			prefix += ";model:" + escapeFrame(model) //e3:alloc warm-up: cached per execution shape
 		}
-		prefix += fmt.Sprintf(";split:%d", split)
+		prefix += fmt.Sprintf(";split:%d", split) //e3:alloc warm-up: cached per execution shape
 		if from > 0 || to > 0 {
-			prefix += fmt.Sprintf(";layers:%d-%d", from, to)
+			prefix += fmt.Sprintf(";layers:%d-%d", from, to) //e3:alloc warm-up: cached per execution shape
 		}
-		st = &execStacks{
-			useful: prefix + ";useful",
-			ramp:   prefix + ";ramp-overhead",
-			pad:    prefix + ";pad-waste",
+		st = &execStacks{ //e3:alloc warm-up: cached per execution shape
+			useful: prefix + ";useful",        //e3:alloc warm-up: cached per execution shape
+			ramp:   prefix + ";ramp-overhead", //e3:alloc warm-up: cached per execution shape
+			pad:    prefix + ";pad-waste",     //e3:alloc warm-up: cached per execution shape
 		}
 		p.execCache[k] = st
 	}
@@ -367,10 +367,10 @@ func (p *Profiler) gapStack(d *devState, split, class int) string {
 	s, ok := p.gapCache[k]
 	if !ok {
 		if split < 0 {
-			s = fmt.Sprintf("gpu:%s;dev:%s;bubble;%s",
+			s = fmt.Sprintf("gpu:%s;dev:%s;bubble;%s", //e3:alloc warm-up: cached per bubble stack
 				escapeFrame(d.kind), escapeFrame(d.id), className[class])
 		} else {
-			s = fmt.Sprintf("gpu:%s;dev:%s;bubble;split:%d;%s",
+			s = fmt.Sprintf("gpu:%s;dev:%s;bubble;split:%d;%s", //e3:alloc warm-up: cached per bubble stack
 				escapeFrame(d.kind), escapeFrame(d.id), split, className[class])
 		}
 		p.gapCache[k] = s

@@ -32,9 +32,9 @@ func NewLogHistogram(lo, hi float64, buckets int) *Histogram {
 	if buckets < 2 || lo <= 0 || hi <= lo {
 		panic(fmt.Sprintf("metrics: bad log histogram [%v,%v]x%d", lo, hi, buckets))
 	}
-	h := &Histogram{
-		bounds: make([]float64, buckets),
-		counts: make([]uint64, buckets+1),
+	h := &Histogram{ //e3:alloc constructor: callers keep one histogram per key
+		bounds: make([]float64, buckets),  //e3:alloc constructor: callers keep one histogram per key
+		counts: make([]uint64, buckets+1), //e3:alloc constructor: callers keep one histogram per key
 	}
 	ratio := math.Pow(hi/lo, 1/float64(buckets-1))
 	b := lo

@@ -61,8 +61,10 @@ func TestDriftingDemoGoldenDigests(t *testing.T) {
 
 // TestDriftingDemoAllocsPerRequest holds the observed loop's data plane to
 // its allocation budget: the exhaustive ledger's chunked log, the shared
-// batch pool and the streamed arrivals leave well under 1.5 allocations
-// per request, planning included.
+// batch pool, the streamed arrivals, the recycled per-batch events and the
+// attribution's dense slots leave under 0.5 allocations per request,
+// planning included (measured 0.452; closures per batch event and a
+// map-backed attribution measured 0.952).
 func TestDriftingDemoAllocsPerRequest(t *testing.T) {
 	var requests int
 	allocs := testing.AllocsPerRun(1, func() {
@@ -77,7 +79,7 @@ func TestDriftingDemoAllocsPerRequest(t *testing.T) {
 	})
 	per := allocs / float64(requests)
 	t.Logf("%.0f allocs over %d requests: %.3f/request", allocs, requests, per)
-	if per >= 1.5 {
-		t.Fatalf("drifting demo: %.3f allocs/request, want < 1.5", per)
+	if per >= 0.5 {
+		t.Fatalf("drifting demo: %.3f allocs/request, want < 0.5", per)
 	}
 }

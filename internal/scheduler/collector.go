@@ -40,12 +40,10 @@ type Collector struct {
 	Util *metrics.UtilizationTracker
 
 	// Violations counts samples completed after their deadline; Dropped
-	// counts samples shed before execution.
+	// counts samples shed before execution. The ledger's report breaks
+	// drops down by reason.
 	Violations int
 	Dropped    int
-
-	// DroppedByReason breaks Dropped down by classified shed reason.
-	DroppedByReason map[audit.Reason]int
 
 	// The observers, each optional (nil disables it at zero cost):
 	// Audit is the lifecycle ledger the generator also writes to; Trace
@@ -71,12 +69,11 @@ type Collector struct {
 // NewCollector builds a collector for an L-layer model.
 func NewCollector(layers int, slo, start float64) *Collector {
 	return &Collector{
-		SLO:             slo,
-		Good:            metrics.NewGoodputMeter(start),
-		Util:            metrics.NewUtilizationTracker(start),
-		exitCounts:      make([]int, layers+1),
-		layers:          layers,
-		DroppedByReason: make(map[audit.Reason]int),
+		SLO:        slo,
+		Good:       metrics.NewGoodputMeter(start),
+		Util:       metrics.NewUtilizationTracker(start),
+		exitCounts: make([]int, layers+1),
+		layers:     layers,
 	}
 }
 
@@ -161,10 +158,6 @@ func (c *Collector) Complete(s workload.Sample, at float64, exitLayer int) {
 // (admission control, stale-backlog shedding, or SLA-pressure flush).
 func (c *Collector) Drop(s workload.Sample, at float64, reason audit.Reason) {
 	c.Dropped++
-	if c.DroppedByReason == nil {
-		c.DroppedByReason = make(map[audit.Reason]int)
-	}
-	c.DroppedByReason[reason]++
 	c.Good.Drop(1, at)
 	c.windowViolations++
 	c.Audit.Dropped(s.ID, at, reason)

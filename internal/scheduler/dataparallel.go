@@ -21,6 +21,7 @@ type DataParallel struct {
 	coll      *Collector
 	instances []*instance
 	rr        int
+	done      completionEvents
 	// ewmaBatch tracks recent per-batch service time for backlog-aware
 	// admission control.
 	ewmaBatch float64
@@ -31,7 +32,7 @@ func NewDataParallel(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, devi
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("scheduler: data-parallel runner needs at least one device")
 	}
-	d := &DataParallel{eng: eng, clus: clus, model: m, coll: coll}
+	d := &DataParallel{eng: eng, clus: clus, model: m, coll: coll, done: completionEvents{eng: eng, coll: coll}}
 	for _, idx := range devices {
 		if idx < 0 || idx >= clus.Size() {
 			return nil, fmt.Errorf("scheduler: device index %d out of range", idx)
@@ -56,7 +57,7 @@ func (d *DataParallel) Ingest(batch []workload.Sample) {
 	n := len(d.instances)
 	for i := 0; i < n; i++ {
 		inst := d.instances[(d.rr+i)%n]
-		if pick == nil || len(inst.queue) < len(pick.queue) {
+		if pick == nil || inst.depth() < pick.depth() {
 			pick = inst
 		}
 	}
@@ -65,24 +66,19 @@ func (d *DataParallel) Ingest(batch []workload.Sample) {
 	for _, s := range batch {
 		d.coll.Dispatched(s, now, 0, pick.device)
 	}
-	pick.queue = append(pick.queue, batch)
+	pick.push(batch)
 	if !pick.busy {
 		d.runNext(pick)
 	}
 }
 
 func (d *DataParallel) runNext(inst *instance) {
-	if len(inst.queue) == 0 {
+	if inst.depth() == 0 {
 		inst.busy = false
 		return
 	}
 	inst.busy = true
-	batch := inst.queue[0]
-	// Compact in place so the popped head does not linger in the array.
-	n := copy(inst.queue, inst.queue[1:])
-	inst.queue[n] = nil
-	inst.queue = inst.queue[:n]
-
+	batch := inst.pop()
 	dev := &d.clus.Devices[inst.device]
 	L := d.model.Base.NumLayers()
 	res := exec.RunSegment(d.model, 1, L, batch, dev.Spec(), dev.Slowdown)
@@ -103,13 +99,7 @@ func (d *DataParallel) runNext(inst *instance) {
 		for hi < len(comps) && comps[hi].Offset == comps[lo].Offset {
 			hi++
 		}
-		grp := comps[lo:hi]
-		d.eng.After(grp[0].Offset, func() {
-			done := d.eng.Now()
-			for _, c := range grp {
-				d.coll.Complete(c.Sample, done, c.ExitLayer)
-			}
-		})
+		d.done.after(d.done.get(), comps[lo].Offset, comps[lo:hi])
 		lo = hi
 	}
 	d.eng.After(res.Duration, inst.rearm)
@@ -120,7 +110,7 @@ func (d *DataParallel) runNext(inst *instance) {
 func (d *DataParallel) QueueDepth() int {
 	n := 0
 	for _, inst := range d.instances {
-		n += len(inst.queue)
+		n += inst.depth()
 		if inst.busy {
 			n++
 		}

@@ -37,19 +37,16 @@ type Pipeline struct {
 	// survivor slices once the merge queue has absorbed them. Nil = no
 	// recycling (identical behavior, more allocation).
 	pool *workload.BatchPool
-	// compFree recycles completion buffers (active only when pool is set):
-	// a buffer is handed to RunSplitInto, rides the grouped completion
-	// event, and returns here once the collector has consumed it.
-	compFree [][]exec.Completion
+	// done recycles the grouped completion events; each carries the
+	// completion buffer its batch's split ran into.
+	done completionEvents
+	// xferFree recycles survivor transfer events.
+	xferFree []*transferEvent
 	// res is the Result every batch's split runs into, so its scratch
 	// survives across batches. Its Completions and Survivors are handed
 	// off after each run and replaced before the next.
 	res exec.Result
 }
-
-// maxCompFree bounds the completion-buffer free list, mirroring the batch
-// pool's per-class bound.
-const maxCompFree = 64
 
 type stage struct {
 	split     optimizer.Split
@@ -76,15 +73,39 @@ type pendingSample struct {
 }
 
 type instance struct {
-	device  int // index into cluster.Devices
-	busy    bool
+	device int // index into cluster.Devices
+	busy   bool
+	// queue[head:] holds the batches awaiting execution; pop advances head
+	// and compacts once it passes half the slice, so a dequeue is O(1)
+	// amortized and a queue that never drains does not grow without bound.
 	queue   [][]workload.Sample
+	head    int
 	strikes int
 	// excluded instances receive no new work (§3.3 straggler handling).
 	excluded bool
 	// rearm is the prebuilt "device freed, start the next batch" event,
 	// scheduled once per executed batch.
 	rearm func()
+}
+
+// depth reports the batches queued on the instance.
+func (inst *instance) depth() int { return len(inst.queue) - inst.head }
+
+// push queues a batch behind the others.
+func (inst *instance) push(batch []workload.Sample) { inst.queue = append(inst.queue, batch) }
+
+// pop dequeues the oldest batch; the queue must not be empty.
+func (inst *instance) pop() []workload.Sample {
+	batch := inst.queue[inst.head]
+	inst.queue[inst.head] = nil
+	inst.head++
+	if inst.head*2 > len(inst.queue) {
+		n := copy(inst.queue, inst.queue[inst.head:])
+		clear(inst.queue[n:])
+		inst.queue = inst.queue[:n]
+		inst.head = 0
+	}
+	return batch
 }
 
 // NewPipeline binds a plan to concrete devices. It fails if the cluster
@@ -94,6 +115,7 @@ func NewPipeline(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan opt
 		eng: eng, clus: clus, model: plan.ExecModel(m), plan: plan, coll: coll,
 		maxMergeWait:    plan.CycleTime,
 		stragglerFactor: 1.5,
+		done:            completionEvents{eng: eng, coll: coll},
 	}
 	if p.maxMergeWait <= 0 {
 		p.maxMergeWait = 0.010
@@ -173,7 +195,7 @@ func (p *Pipeline) pickInstance(si int) *instance {
 		if inst.excluded {
 			continue
 		}
-		if pick == nil || len(inst.queue) < len(pick.queue) {
+		if pick == nil || inst.depth() < pick.depth() {
 			pick = inst
 		}
 	}
@@ -202,7 +224,7 @@ func (p *Pipeline) dispatchTo(si int, pick *instance, batch []workload.Sample) {
 	for _, s := range batch {
 		p.coll.Dispatched(s, now, si, pick.device)
 	}
-	pick.queue = append(pick.queue, batch)
+	pick.push(batch)
 	if !pick.busy {
 		p.runNext(si, pick)
 	}
@@ -210,18 +232,12 @@ func (p *Pipeline) dispatchTo(si int, pick *instance, batch []workload.Sample) {
 
 // runNext starts the instance's next queued batch.
 func (p *Pipeline) runNext(si int, inst *instance) {
-	if len(inst.queue) == 0 {
+	if inst.depth() == 0 {
 		inst.busy = false
 		return
 	}
 	inst.busy = true
-	batch := inst.queue[0]
-	// Compact the per-instance queue in place: advancing the slice strands
-	// the popped head (and its batch) in the backing array until a realloc.
-	n := copy(inst.queue, inst.queue[1:])
-	inst.queue[n] = nil
-	inst.queue = inst.queue[:n]
-
+	batch := inst.pop()
 	st := p.stages[si]
 
 	// Shed stale work (Clockwork-style, §3.1): a backlogged sample that
@@ -245,13 +261,14 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 	}
 
 	dev := &p.clus.Devices[inst.device]
-	// Hand RunSplitInto recycled output buffers: survivors come from the
-	// batch pool (they are Put back once merged), completions from the
-	// pipeline's own free list (Put back after the grouped completion event
-	// fires). With no pool both start empty and RunSplitInto allocates as
-	// RunSplit would — either way the values written are identical.
+	// Hand RunSplitInto recycled output buffers: completions go into the
+	// buffer of the event that will deliver them, survivors come from the
+	// batch pool (they are Put back once merged). With no pool survivors
+	// start empty and RunSplitInto allocates as RunSplit would — either
+	// way the values written are identical.
+	comp := p.done.get()
 	res := &p.res
-	res.Completions, res.Survivors = p.getCompBuf(len(batch)), nil
+	res.Completions, res.Survivors = comp.buf[:0], nil
 	if p.pool != nil {
 		res.Survivors = p.pool.Get(len(batch))[:0]
 	}
@@ -274,16 +291,11 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 	// within-batch order is the slice order, matching the per-sample events
 	// this replaces (consecutive seq at equal time), and the heap carries
 	// one event per batch instead of one per sample.
-	if comps := res.Completions; len(comps) > 0 {
-		p.eng.After(comps[0].Offset, func() {
-			done := p.eng.Now()
-			for _, c := range comps {
-				p.coll.Complete(c.Sample, done, c.ExitLayer)
-			}
-			p.putCompBuf(comps)
-		})
+	comp.buf = res.Completions
+	if len(comp.buf) > 0 {
+		p.done.after(comp, comp.buf[0].Offset, comp.buf)
 	} else {
-		p.putCompBuf(res.Completions)
+		p.done.put(comp)
 	}
 	// Completions and survivors are value copies, so the ingested batch is
 	// dead from here on and its array can back a future dispatch.
@@ -295,12 +307,11 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		target := p.pickInstance(si + 1)
 		comm := p.clus.Link(inst.device, target.device).
 			TransferTime(p.model.Base.Layers[st.split.To-1].ActBytes * float64(len(res.Survivors)))
-		survivors := res.Survivors
+		xfer := p.getTransfer()
+		xfer.si, xfer.survivors, xfer.target = si+1, res.Survivors, target
 		xferStart := now + res.Duration + res.HandoffDelay
-		p.coll.Transferred(si, len(survivors), xferStart, xferStart+comm)
-		p.eng.After(res.Duration+res.HandoffDelay+comm, func() {
-			p.receive(si+1, survivors, target)
-		})
+		p.coll.Transferred(si, len(res.Survivors), xferStart, xferStart+comm)
+		p.eng.After(res.Duration+res.HandoffDelay+comm, xfer.fn)
 	} else {
 		// No survivors to forward (all exited, or final stage): the
 		// survivors buffer is idle — recycle it now.
@@ -392,38 +403,6 @@ func (p *Pipeline) drain(si int) {
 		}
 		p.eng.After(delay, st.flushFn)
 	}
-}
-
-// getCompBuf returns a zero-length completion buffer with capacity for n
-// entries, recycled when the free list has one. Buffers are only recycled
-// when a batch pool is attached; otherwise it returns nil and append
-// allocates exactly as the unpooled path always has.
-func (p *Pipeline) getCompBuf(n int) []exec.Completion {
-	if p.pool == nil {
-		return nil
-	}
-	if k := len(p.compFree); k > 0 {
-		b := p.compFree[k-1]
-		p.compFree[k-1] = nil
-		p.compFree = p.compFree[:k-1]
-		if cap(b) >= n {
-			return b[:0]
-		}
-	}
-	return make([]exec.Completion, 0, n)
-}
-
-// putCompBuf zeroes a completion buffer and files it for reuse; the caller
-// must not retain any alias afterwards.
-func (p *Pipeline) putCompBuf(b []exec.Completion) {
-	if p.pool == nil || cap(b) == 0 || len(p.compFree) >= maxCompFree {
-		return
-	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = exec.Completion{}
-	}
-	p.compFree = append(p.compFree, b[:0])
 }
 
 // flush dispatches a partial batch whose head can wait no longer.

@@ -274,14 +274,7 @@ func TestSerialSlowerThanPipeline(t *testing.T) {
 		t.Skip("single-split plan")
 	}
 	const batches = 400
-	makespan := func(r Runner, flush func()) float64 {
-		eng := sim.NewEngine()
-		switch v := r.(type) {
-		case *Pipeline:
-			v.eng = eng
-		case *Serial:
-			v.eng = eng
-		}
+	makespan := func(eng *sim.Engine, r Runner, flush func()) float64 {
 		gen := workload.NewGenerator(workload.Mix(0.8), 15)
 		gen.SetAudit(r.Collector().Audit)
 		for i := 0; i < batches; i++ {
@@ -300,13 +293,13 @@ func TestSerialSlowerThanPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tPipe := makespan(pipe, pipe.FlushAll)
+	tPipe := makespan(engP, pipe, pipe.FlushAll)
 
 	engS := sim.NewEngine()
 	collS := NewCollector(12, 10, 0)
 	collS.Audit = audit.NewLedger()
 	ser := NewSerial(engS, clus, m, plan, collS)
-	tSer := makespan(ser, ser.Flush)
+	tSer := makespan(engS, ser, ser.Flush)
 
 	if tPipe >= tSer {
 		t.Errorf("pipeline makespan %v not below serial %v (Fig 26 shape)", tPipe, tSer)

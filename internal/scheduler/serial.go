@@ -28,13 +28,18 @@ type Serial struct {
 	// draining forces partial rounds after FlushAll so end-of-run leftovers
 	// smaller than a full round still execute instead of vanishing.
 	draining bool
+	done     completionEvents
+	// roundEnd is the prebuilt end-of-round event; one round runs at a
+	// time, so one event serves them all.
+	roundEnd func()
 }
 
 const serialBarrier = 1e-3
 
 // NewSerial builds the ablation runner.
 func NewSerial(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan optimizer.Plan, coll *Collector) *Serial {
-	s := &Serial{eng: eng, clus: clus, model: plan.ExecModel(m), plan: plan, coll: coll}
+	s := &Serial{eng: eng, clus: clus, model: plan.ExecModel(m), plan: plan, coll: coll, done: completionEvents{eng: eng, coll: coll}}
+	s.roundEnd = s.endRound
 	for i := range clus.Devices {
 		coll.Register(&clus.Devices[i])
 	}
@@ -122,12 +127,7 @@ func (s *Serial) runRound(round [][]workload.Sample) {
 			// one event finishes them all in slice order, matching the
 			// per-sample events this replaces.
 			if comps := res.Completions; len(comps) > 0 {
-				s.eng.After(elapsed+res.Duration+res.HandoffDelay, func() {
-					done := s.eng.Now()
-					for _, c := range comps {
-						s.coll.Complete(c.Sample, done, c.ExitLayer)
-					}
-				})
+				s.done.after(s.done.get(), elapsed+res.Duration+res.HandoffDelay, comps)
 			}
 			survivors = append(survivors, res.Survivors...)
 		}
@@ -141,8 +141,11 @@ func (s *Serial) runRound(round [][]workload.Sample) {
 	if math.IsNaN(elapsed) || elapsed < 0 {
 		elapsed = 0
 	}
-	s.eng.After(elapsed, func() {
-		s.running = false
-		s.tryRound(s.draining)
-	})
+	s.eng.After(elapsed, s.roundEnd)
+}
+
+// endRound frees the cluster for the next round.
+func (s *Serial) endRound() {
+	s.running = false
+	s.tryRound(s.draining)
 }

@@ -39,6 +39,9 @@ type Batcher struct {
 	// it. flushAt is the fire time of the live timer (+Inf when none).
 	flushGen int
 	flushAt  float64
+	// flushFree recycles flush events. A superseded event is still in the
+	// engine's heap, so an event returns here only when it fires.
+	flushFree []*flushEvent
 	// pool optionally recycles dispatched batch slices through the runner
 	// (nil = allocate per dispatch, the pre-fast-path behavior; pooling
 	// never changes dispatched values, only allocation reuse).
@@ -162,6 +165,8 @@ func (b *Batcher) headFireAt() float64 {
 // timer that already fires at or before the head's deadline point is kept
 // (an early fire merely re-checks and re-arms); a stale later timer is
 // superseded.
+//
+//e3:hotpath runs on every admitted arrival and dispatch; arming must not allocate
 func (b *Batcher) armFlush() {
 	if len(b.queue) == 0 {
 		return
@@ -172,18 +177,50 @@ func (b *Batcher) armFlush() {
 	}
 	b.flushGen++
 	b.flushAt = fireAt
-	gen := b.flushGen
+	ev := b.getFlush()
+	ev.gen = b.flushGen
 	delay := fireAt - b.eng.Now()
 	if delay < 0 {
 		delay = 0
 	}
-	b.eng.After(delay, func() {
-		if gen != b.flushGen {
-			return // superseded by a dispatch or a re-arm
-		}
-		b.flushAt = math.Inf(1)
-		b.flush()
-	})
+	b.eng.After(delay, ev.fn)
+}
+
+// flushEvent is a recycled flush timer: it carries the generation it was
+// armed under and fires as a no-op if a dispatch or re-arm superseded it.
+type flushEvent struct {
+	b   *Batcher
+	gen int
+	fn  func()
+}
+
+// getFlush takes a free flush event, building one only while the number
+// of timers in the heap is still growing.
+//
+//e3:hotpath runs once per armed flush timer; the free-list hit path must not allocate
+func (b *Batcher) getFlush() *flushEvent {
+	if k := len(b.flushFree); k > 0 {
+		ev := b.flushFree[k-1]
+		b.flushFree = b.flushFree[:k-1]
+		return ev
+	}
+	ev := &flushEvent{b: b} //e3:alloc warm-up: one event per timer in the heap at the peak
+	ev.fn = ev.fire
+	return ev
+}
+
+// fire is the timer body. The event is free again once it has read its
+// generation: the flush below may re-arm and reuse it.
+//
+//e3:hotpath runs once per armed flush timer, superseded or live
+func (ev *flushEvent) fire() {
+	b := ev.b
+	b.flushFree = append(b.flushFree, ev)
+	if ev.gen != b.flushGen {
+		return // superseded by a dispatch or a re-arm
+	}
+	b.flushAt = math.Inf(1)
+	b.flush()
 }
 
 // flush dispatches a partial batch under SLA pressure.

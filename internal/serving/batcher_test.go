@@ -111,3 +111,80 @@ func TestRunClosedLoopOffersExactBatchCount(t *testing.T) {
 		t.Fatalf("offered %d batches, want %d (float drift dropped the final interval)", got, want)
 	}
 }
+
+// Regression for recycled flush events: a timer superseded by a dispatch
+// and then re-armed for a later head stays in the engine's heap, and when
+// it fires it must still do nothing. Were the superseded event recycled
+// before it fired, the re-arm would reuse it, the heap entry would carry
+// the live generation, and it would flush early and arm a second timer.
+func TestBatcherStaleFlushAfterRearmIsNoop(t *testing.T) {
+	eng := sim.NewEngine()
+	f := &fakeRunner{coll: scheduler.NewCollector(12, 1.0, 0)}
+	b := NewBatcher(eng, f, 2, 0.01, 0.2)
+
+	// A arms a timer for its forced-dispatch point 0.08725; B fills the
+	// batch, the pair dispatches and that timer is superseded.
+	eng.At(0, func() {
+		b.Arrive(workload.Sample{ID: 1, Arrival: 0, Deadline: 0.1})
+		b.Arrive(workload.Sample{ID: 2, Arrival: 0, Deadline: 0.1})
+	})
+	// C re-arms for its own, later point 0.98825 while the stale timer is
+	// still pending.
+	eng.At(0.001, func() {
+		b.Arrive(workload.Sample{ID: 3, Arrival: 0.001, Deadline: 1.001})
+	})
+	if err := eng.Run(0.5); err != nil {
+		t.Fatal(err)
+	}
+	wantAt := 1.001 - 1.02*b.EstService/(1-b.SlackFrac)
+	if b.flushAt != wantAt || eng.Pending() != 1 || b.QueueLen() != 1 || len(f.batches) != 1 {
+		t.Fatalf("after the stale timer: flushAt=%v pending=%d queued=%d dispatched=%d; want %v/1/1/1",
+			b.flushAt, eng.Pending(), b.QueueLen(), len(f.batches), wantAt)
+	}
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.batches) != 2 || eng.Now() != wantAt || eng.Processed() != 4 {
+		t.Fatalf("C dispatched in %d batch(es) at t=%v after %d events; want 2 at %v after 4",
+			len(f.batches), eng.Now(), eng.Processed(), wantAt)
+	}
+}
+
+// poolRunner returns every ingested batch to the pool, so a batcher in
+// front of it reaches an allocation-free steady state.
+type poolRunner struct {
+	coll *scheduler.Collector
+	pool *workload.BatchPool
+}
+
+func (r *poolRunner) Ingest(b []workload.Sample)      { r.pool.Put(b) }
+func (r *poolRunner) Collector() *scheduler.Collector { return r.coll }
+
+// TestBatcherArmFireAllocsZero: one arrival arms the flush timer, the
+// timer fires under SLA pressure and dispatches a partial batch. With a
+// pool attached and the flush event recycled, the cycle allocates nothing.
+func TestBatcherArmFireAllocsZero(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := workload.NewBatchPool()
+	b := NewBatcher(eng, &poolRunner{coll: scheduler.NewCollector(12, 0.05, 0), pool: pool}, 8, 0.01, 0.2)
+	b.SetPool(pool)
+	id := int64(0)
+	cycle := func() {
+		id++
+		now := eng.Now()
+		b.Arrive(workload.Sample{ID: id, Arrival: now, Deadline: now + 0.05})
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	before := eng.Processed()
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Fatalf("arm-and-fire cycle allocates %.2f times, want 0", got)
+	}
+	if fired := eng.Processed() - before; fired != 1001 {
+		t.Fatalf("%d flush events over 1001 cycles, want one each", fired)
+	}
+}

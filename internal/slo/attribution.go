@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"e3/internal/audit"
 	"e3/internal/workload"
@@ -171,9 +170,6 @@ const DefaultTopK = 16
 // report's violation cap.
 const maxAttrErrs = 8
 
-// maxFreeStates bounds the recycled request-state free list.
-const maxFreeStates = 256
-
 // reqState tracks one in-flight request between boundary events.
 type reqState struct {
 	id      int64
@@ -189,7 +185,9 @@ type reqState struct {
 	haveExec bool
 	executed bool
 	stage    int
-	parts    []Part
+	// parts is the slot's part buffer: every request that occupies the
+	// slot reuses its capacity.
+	parts []Part
 }
 
 // Attribution folds per-request boundary events into critical-path
@@ -202,8 +200,13 @@ type Attribution struct {
 	topK   int
 	stride int64
 
-	open map[int64]*reqState
-	free []*reqState
+	// Open requests live in dense slots: index maps a request id to its
+	// slot in slots, and free lists the vacated slots. All three grow
+	// with the peak number of requests in flight, never with the run's
+	// request count.
+	index slotIndex
+	slots []reqState
+	free  []int32
 
 	// completed/dropped are population-exact O(1) counters over every
 	// terminal event; attributed counts the breakdowns finalized in
@@ -216,9 +219,10 @@ type Attribution struct {
 
 	compTotal [NumComponents]float64
 	compCount [NumComponents]uint64
-	// computeByStage accumulates CompCompute per split.
-	computeByStage map[int]float64
-	computeCount   map[int]uint64
+	// computeByStage accumulates CompCompute per split, indexed by stage;
+	// computeCount counts the parts behind each total.
+	computeByStage []float64
+	computeCount   []uint64
 
 	// slowest holds the top-K breakdowns ordered ascending by end-to-end
 	// latency (ties broken by ID so retention is deterministic).
@@ -231,13 +235,7 @@ func NewAttribution(topK int) *Attribution {
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
-	return &Attribution{
-		topK:           topK,
-		stride:         1,
-		open:           make(map[int64]*reqState),
-		computeByStage: make(map[int]float64),
-		computeCount:   make(map[int]uint64),
-	}
+	return &Attribution{topK: topK, stride: 1}
 }
 
 // SetStride samples per-request detail for ids divisible by n while
@@ -267,30 +265,50 @@ func (a *Attribution) Stride() int64 {
 
 func (a *Attribution) trackedID(id int64) bool { return a.stride <= 1 || id%a.stride == 0 }
 
+// lookup returns the open record for id, or nil. The pointer is valid
+// until the next open grows the slot slice.
+//
+//e3:hotpath runs once per tracked request per boundary event
+func (a *Attribution) lookup(id int64) *reqState {
+	slot, ok := a.index.get(id)
+	if !ok {
+		return nil
+	}
+	return &a.slots[slot]
+}
+
+// state returns the open record for s, opening one in a free slot if
+// there is none.
+//
+//e3:hotpath runs once per tracked request per admission and dispatch
 func (a *Attribution) state(s workload.Sample) *reqState {
-	st := a.open[s.ID]
-	if st != nil {
+	if st := a.lookup(s.ID); st != nil {
 		return st
 	}
+	var slot int32
 	if k := len(a.free); k > 0 {
-		st = a.free[k-1]
-		a.free[k-1] = nil
+		slot = a.free[k-1]
 		a.free = a.free[:k-1]
 	} else {
-		st = &reqState{}
+		slot = int32(len(a.slots))
+		a.slots = append(a.slots, reqState{})
 	}
+	a.index.put(s.ID, slot)
+	st := &a.slots[slot]
 	st.id, st.arrival, st.prevAt = s.ID, s.Arrival, s.Arrival
 	st.haveExec, st.executed = false, false
 	st.stage = -1
 	st.parts = st.parts[:0]
-	a.open[s.ID] = st
 	return st
 }
 
+// release closes a record and frees its slot; its part buffer stays with
+// the slot for the next occupant.
+//
+//e3:hotpath runs once per tracked request at its terminal event
 func (a *Attribution) release(st *reqState) {
-	delete(a.open, st.id)
-	if len(a.free) < maxFreeStates {
-		a.free = append(a.free, st)
+	if slot, ok := a.index.remove(st.id); ok {
+		a.free = append(a.free, slot)
 	}
 }
 
@@ -357,8 +375,13 @@ func (a *Attribution) Executed(stage int, batch []workload.Sample, start, end fl
 	if a == nil {
 		return
 	}
+	if stage < 0 {
+		// Stages are split indices; per-stage compute is indexed by them.
+		a.flag("executed a batch of %d at negative stage %d", len(batch), stage) //e3:alloc caller bug, reported once per batch
+		return
+	}
 	for i := range batch {
-		st := a.open[batch[i].ID]
+		st := a.lookup(batch[i].ID)
 		if st == nil {
 			continue
 		}
@@ -375,7 +398,7 @@ func (a *Attribution) Merged(s workload.Sample, at float64, stage int) {
 	if a == nil {
 		return
 	}
-	st := a.open[s.ID]
+	st := a.lookup(s.ID)
 	if st == nil {
 		return
 	}
@@ -390,10 +413,10 @@ func (a *Attribution) Completed(s workload.Sample, at float64) {
 		return
 	}
 	a.completed++
-	st := a.open[s.ID]
+	st := a.lookup(s.ID)
 	if st == nil {
 		if a.trackedID(s.ID) {
-			a.flag("request %d: completed with no open attribution record", s.ID)
+			a.flag("request %d: completed with no open attribution record", s.ID) //e3:alloc sequencing bug; messages are capped at maxAttrErrs
 		}
 		return
 	}
@@ -409,7 +432,7 @@ func (a *Attribution) Dropped(s workload.Sample, at float64) {
 		return
 	}
 	a.dropped++
-	if st := a.open[s.ID]; st != nil {
+	if st := a.lookup(s.ID); st != nil {
 		a.release(st)
 	}
 }
@@ -417,7 +440,7 @@ func (a *Attribution) Dropped(s workload.Sample, at float64) {
 func (a *Attribution) flag(format string, args ...any) {
 	a.mismatches++
 	if len(a.errs) < maxAttrErrs {
-		a.errs = append(a.errs, fmt.Sprintf(format, args...))
+		a.errs = append(a.errs, fmt.Sprintf(format, args...)) //e3:alloc only on a recording bug, at most maxAttrErrs times
 	}
 }
 
@@ -450,7 +473,7 @@ func (a *Attribution) finalize(st *reqState, at float64) {
 		a.maxResidual = residual
 	}
 	if !ok {
-		a.flag("request %d: breakdown does not partition [%v, %v]: %d part(s) summing to %v (end-to-end %v)",
+		a.flag("request %d: breakdown does not partition [%v, %v]: %d part(s) summing to %v (end-to-end %v)", //e3:alloc sequencing bug; messages are capped at maxAttrErrs
 			st.id, st.arrival, at, len(st.parts), sum, e2e)
 		a.release(st)
 		return
@@ -460,6 +483,10 @@ func (a *Attribution) finalize(st *reqState, at float64) {
 		a.compTotal[p.Comp] += d
 		a.compCount[p.Comp]++
 		if p.Comp == CompCompute {
+			for len(a.computeByStage) <= p.Stage {
+				a.computeByStage = append(a.computeByStage, 0)
+				a.computeCount = append(a.computeCount, 0)
+			}
 			a.computeByStage[p.Stage] += d
 			a.computeCount[p.Stage]++
 		}
@@ -486,8 +513,16 @@ func (a *Attribution) offerSlowest(st *reqState, at float64) {
 	if len(a.slowest) >= a.topK && !slowestLess(a.slowest[0], bd) {
 		return
 	}
-	bd.Parts = append([]Part(nil), st.parts...)
-	i := sort.Search(len(a.slowest), func(i int) bool { return !slowestLess(a.slowest[i], bd) })
+	bd.Parts = append([]Part(nil), st.parts...) //e3:alloc admissions thin out as the retained minimum rises; the slot reuses st.parts
+	// The first retained breakdown not less than bd: bd goes before it.
+	i, j := 0, len(a.slowest)
+	for i < j {
+		if h := int(uint(i+j) >> 1); slowestLess(a.slowest[h], bd) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
 	a.slowest = append(a.slowest, Breakdown{})
 	copy(a.slowest[i+1:], a.slowest[i:])
 	a.slowest[i] = bd
@@ -529,7 +564,7 @@ func (a *Attribution) Open() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.open)
+	return a.index.n
 }
 
 // ComponentSeconds reports the total virtual time attributed to c across
@@ -569,8 +604,8 @@ func (a *Attribution) Reconcile(rep *audit.Report) {
 	if extra := a.mismatches - len(a.errs); extra > 0 {
 		rep.Violate("slo: ... and %d more attribution mismatch(es)", extra)
 	}
-	if len(a.open) > 0 {
-		rep.Violate("slo: %d request(s) still open after end of run", len(a.open))
+	if a.index.n > 0 {
+		rep.Violate("slo: %d request(s) still open after end of run", a.index.n)
 	}
 	if int(a.completed) != rep.Completed {
 		rep.Violate("slo: %d completion events, ledger completed %d", a.completed, rep.Completed)
@@ -614,8 +649,8 @@ type Dump struct {
 	Slowest []Breakdown `json:"slowest"`
 }
 
-// Dump snapshots the attribution. Map walks are sorted, so two identical
-// runs marshal to identical bytes.
+// Dump snapshots the attribution. Stages are listed in ascending order,
+// so two identical runs marshal to identical bytes.
 func (a *Attribution) Dump() *Dump {
 	d := &Dump{}
 	if a == nil {
@@ -629,15 +664,12 @@ func (a *Attribution) Dump() *Dump {
 			Component: c.String(), Count: a.compCount[c], TotalS: a.compTotal[c],
 		})
 	}
-	stages := make([]int, 0, len(a.computeByStage))
-	for s := range a.computeByStage {
-		stages = append(stages, s)
-	}
-	sort.Ints(stages)
-	for _, s := range stages {
-		d.ComputeByStage = append(d.ComputeByStage, StageCompute{
-			Stage: s, Count: a.computeCount[s], TotalS: a.computeByStage[s],
-		})
+	for s, n := range a.computeCount {
+		if n > 0 {
+			d.ComputeByStage = append(d.ComputeByStage, StageCompute{
+				Stage: s, Count: n, TotalS: a.computeByStage[s],
+			})
+		}
 	}
 	d.Slowest = a.Slowest()
 	return d

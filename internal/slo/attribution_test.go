@@ -198,3 +198,51 @@ func TestComponentJSONRoundTrip(t *testing.T) {
 		t.Fatal("ComponentFromString accepted an unknown name")
 	}
 }
+
+// TestAttributionLifecycleAllocsZero: once the slots, the id index and
+// each slot's part buffer have grown, a request's whole lifecycle — open,
+// dispatch, execute, transfer, re-dispatch, execute, complete — reuses
+// them and allocates nothing.
+func TestAttributionLifecycleAllocsZero(t *testing.T) {
+	a := NewAttribution(4)
+	id := int64(0)
+	batch := make([]workload.Sample, 1)
+	cycle := func() {
+		id++
+		base := float64(id)
+		s := workload.Sample{ID: id, Arrival: base, Deadline: base + 1}
+		batch[0] = s
+		a.Queued(s, base)
+		a.Dispatched(s, base+0.1, 0)
+		a.Executed(0, batch, base+0.2, base+0.3)
+		a.Merged(s, base+0.4, 1)
+		a.Dispatched(s, base+0.5, 1)
+		a.Executed(1, batch, base+0.6, base+0.7)
+		a.Completed(s, base+0.8)
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Fatalf("request lifecycle allocates %.2f times, want 0", got)
+	}
+	if a.Mismatches() != 0 || a.Open() != 0 {
+		t.Fatalf("mismatches=%d open=%d, want 0/0", a.Mismatches(), a.Open())
+	}
+}
+
+// TestAttributionFlagsNegativeStage: per-stage compute is indexed by split,
+// so a batch executed at a negative stage is a caller bug, reported
+// rather than folded.
+func TestAttributionFlagsNegativeStage(t *testing.T) {
+	a := NewAttribution(4)
+	s := sample(1, 1.0)
+	a.Dispatched(s, 1.1, 0)
+	a.Executed(-1, []workload.Sample{s}, 1.2, 1.3)
+	if a.Mismatches() != 1 {
+		t.Fatalf("mismatches = %d, want 1", a.Mismatches())
+	}
+	if d := a.Dump(); len(d.ComputeByStage) != 0 {
+		t.Fatalf("negative-stage compute folded: %+v", d.ComputeByStage)
+	}
+}

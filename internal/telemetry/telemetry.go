@@ -242,9 +242,9 @@ func (t *Tracer) Transfer(fromStage, batch int, start, end float64) {
 	}
 	track, ok := t.xferTrack[fromStage]
 	if !ok {
-		track = fmt.Sprintf("xfer:s%d->s%d", fromStage, fromStage+1)
+		track = fmt.Sprintf("xfer:s%d->s%d", fromStage, fromStage+1) //e3:alloc warm-up: track name cached per stage
 		if t.xferTrack == nil {
-			t.xferTrack = make(map[int]string)
+			t.xferTrack = make(map[int]string) //e3:alloc warm-up: track name cached per stage
 		}
 		t.xferTrack[fromStage] = track
 	}
@@ -260,9 +260,9 @@ func (t *Tracer) Fuse(stage, batch int, start, end float64) {
 	}
 	track, ok := t.mergeTrack[stage]
 	if !ok {
-		track = fmt.Sprintf("merge:s%d", stage)
+		track = fmt.Sprintf("merge:s%d", stage) //e3:alloc warm-up: track name cached per stage
 		if t.mergeTrack == nil {
-			t.mergeTrack = make(map[int]string)
+			t.mergeTrack = make(map[int]string) //e3:alloc warm-up: track name cached per stage
 		}
 		t.mergeTrack[stage] = track
 	}
