@@ -73,7 +73,8 @@ plangate:
 # events/sec floor on a paper-scale Poisson slice, and pooled vs unpooled
 # runs must stay byte-identical. Env-gated like the other timing gates;
 # the determinism half always runs under plain `go test ./...`.
-# `e3-bench -sim-bench BENCH_PR6.json` writes the full measurement.
+# `bash _benchmark/run.sh --workload paper-9k` measures the same stack
+# end to end, and `make bench` times the engine and batcher alone.
 simgate:
 	E3_SIM_GATE=1 $(GO) test ./internal/experiments/ -run 'TestSimGate|TestSimBenchPooledUnpooledByteIdentical' -v
 
@@ -101,7 +102,8 @@ flamegate:
 # timing half skips loudly on 1 core, where no speedup is physically
 # possible). Env-gated like the other timing gates; the 20-seed
 # determinism property tests always run under plain `go test ./...`.
-# `e3-bench -fleet-bench BENCH_PR10.json` writes the full scaling curve.
+# `bash _benchmark/run.sh --workload fleet-zoo --trace 1` reports
+# fleet.speedup and fleet.serial_frac.
 fleetgate:
 	E3_FLEET_GATE=1 $(GO) test ./internal/fleet/ -run TestFleetGate -v
 
@@ -117,8 +119,9 @@ benchtest:
 		$(GO) -C _benchmark test .
 
 # Planner and data-plane microbenchmarks (cost-table build, reference vs
-# memoized search, engine heap churn, batcher flush, traced runner path).
-# `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`
-# write the same comparisons as JSON.
+# memoized search, reference vs fast engine heap churn, batcher flush,
+# traced runner path). The reference searches and engine are test-only
+# oracles, so these lines are where their comparisons live; CI runs each
+# benchmark once so they keep compiling and running.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/sim/ ./internal/serving/ ./internal/experiments/

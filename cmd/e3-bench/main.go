@@ -6,10 +6,13 @@
 //	e3-bench -fig fig07            # run one experiment
 //	e3-bench -all                  # run everything (several minutes)
 //	e3-bench fig07 fig12 fig19     # run a selection
+//	e3-bench -audit                # lifecycle conservation audit
 //	e3-bench -trace-out demo.json  # export a Perfetto-loadable timeline
-//	e3-bench -bench-out bench.json # machine-readable perf + overhead stats
+//	e3-bench -flame-out demo.json  # virtual-time GPU flame profile
 //	e3-bench -windows 20 -audit    # windowed replan loop + conservation gate
-//	e3-bench -plan-bench BENCH_PR5.json  # planner search-path timings
+//	e3-bench -fleet 8              # fleet demo, per-replica accounting
+//
+// Performance is measured by bash _benchmark/run.sh, not by this command.
 package main
 
 import (
@@ -19,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"e3/internal/bench"
 	"e3/internal/experiments"
 	"e3/internal/flame"
 	"e3/internal/forecast"
@@ -36,10 +38,7 @@ func main() {
 	auditRun := flag.Bool("audit", false, "run the lifecycle conservation audit (bursty open loop, all runners); exits nonzero on violations")
 	format := flag.String("format", "table", "output format: table or csv")
 	traceOut := flag.String("trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); exits nonzero if the run fails its audit")
-	benchOut := flag.String("bench-out", "", "run the traced demo and write machine-readable stats (throughput, latency quantiles, per-split utilization, telemetry overhead) to FILE")
-	windows := flag.Int("windows", 0, "run the windowed replan loop (drifting mix, ARIMA vs persistence on the same seed) for N windows; combines with -audit (conservation gate), -bench-out, and -trace-out")
-	planBench := flag.String("plan-bench", "", "time the planner search paths (reference vs memoized, serial vs parallel) across the model/cluster grid and write the JSON report to FILE")
-	simBench := flag.String("sim-bench", "", "run the data-plane fast-path benchmark (paper-scale 9000 req/s x 1h trace, engine churn micro, pooled-vs-unpooled determinism check) and write the JSON report to FILE")
+	windows := flag.Int("windows", 0, "run the windowed replan loop (drifting mix, ARIMA vs persistence on the same seed) for N windows; combines with -audit (conservation gate) and -trace-out")
 	bundleOnFailure := flag.String("bundle-on-failure", "", "with -windows: attach the flight recorder and, if any trigger fires (audit violation, SLO burn breach, engine abort), write its diagnostic bundle to FILE")
 	attrOut := flag.String("attr-out", "", "with -windows: write the per-request latency-attribution dump (component totals, per-stage compute, top-k slowest breakdowns) to FILE")
 	sloTarget := flag.Float64("slo-target", slo.DefaultTarget, "with -windows: SLO attainment target the error budget is tracked against")
@@ -48,10 +47,8 @@ func main() {
 	flameFolded := flag.String("flame-folded", "", "like -flame-out but write collapsed-stack text (flamegraph.pl / speedscope input)")
 	flamePprof := flag.String("flame-pprof", "", "like -flame-out but write a gzip pprof profile.proto (`go tool pprof FILE`)")
 	flameRunner := flag.String("flame-runner", "pipeline", "runner for the flame demo run: pipeline or serial (§5.8.7 phase-synchronized baseline)")
-	flameDiff := flag.String("flame-diff", "", "compare two -flame-out JSON profiles (\"a.json,b.json\") and print signed per-stack GPU-time deltas ranked by |time moved|")
 	fleetN := flag.Int("fleet", 0, "run the fleet demo with N replica shards (multi-tenant zoo, GPU-aware epoch routing) and print per-replica accounting")
 	fleetWorkers := flag.Int("fleet-workers", 0, "with -fleet: shard-runner worker count (0 = one per shard); any count reproduces the serial reference byte-for-byte")
-	fleetBench := flag.String("fleet-bench", "", "run the 1/2/4/8-shard fleet scaling curve (parallel-vs-serial digest check at every point) and write the JSON report to FILE")
 	flag.Parse()
 	if *format != "table" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "e3-bench: unknown format %q\n", *format)
@@ -65,22 +62,6 @@ func main() {
 		return
 	}
 
-	if *flameDiff != "" {
-		os.Exit(runFlameDiff(*flameDiff))
-	}
-
-	if *planBench != "" {
-		os.Exit(runPlanBench(*planBench))
-	}
-
-	if *simBench != "" {
-		os.Exit(runSimBench(*simBench))
-	}
-
-	if *fleetBench != "" {
-		os.Exit(runFleetBench(*fleetBench))
-	}
-
 	if *fleetN > 0 {
 		workers := *fleetWorkers
 		if workers <= 0 {
@@ -90,7 +71,7 @@ func main() {
 	}
 
 	if *windows > 0 {
-		os.Exit(runReplan(*windows, *auditRun, *benchOut, *traceOut, *bundleOnFailure, *attrOut, *sloTarget, *burnThreshold,
+		os.Exit(runReplan(*windows, *auditRun, *traceOut, *bundleOnFailure, *attrOut, *sloTarget, *burnThreshold,
 			*flameOut, *flameFolded, *flamePprof))
 	}
 
@@ -98,21 +79,12 @@ func main() {
 		os.Exit(runFlameDemo(*flameRunner, *flameOut, *flameFolded, *flamePprof))
 	}
 
-	if *traceOut != "" || *benchOut != "" {
-		exit := 0
-		if *traceOut != "" {
-			if err := exportTrace(*traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, "e3-bench:", err)
-				exit = 1
-			}
+	if *traceOut != "" {
+		if err := exportTrace(*traceOut); err != nil {
+			fmt.Fprintln(os.Stderr, "e3-bench:", err)
+			os.Exit(1)
 		}
-		if *benchOut != "" {
-			if err := exportBench(*benchOut); err != nil {
-				fmt.Fprintln(os.Stderr, "e3-bench:", err)
-				exit = 1
-			}
-		}
-		os.Exit(exit)
+		return
 	}
 
 	if *auditRun {
@@ -198,185 +170,13 @@ func exportTrace(path string) error {
 	return rep.Err()
 }
 
-// benchSplit is one split's occupancy in the bench report.
-type benchSplit struct {
-	Split     int     `json:"split"`
-	GPUs      int     `json:"gpus"`
-	Util      float64 `json:"utilization"`
-	BubbleS   float64 `json:"bubble_gpu_seconds"`
-	MeanBatch float64 `json:"mean_batch"`
-}
-
-// benchReport is the machine-readable -bench-out payload.
-type benchReport struct {
-	Experiment      string       `json:"experiment"`
-	HorizonVirtualS float64      `json:"horizon_virtual_s"`
-	Samples         int          `json:"samples"`
-	Completed       int          `json:"completed"`
-	Dropped         int          `json:"dropped"`
-	ThroughputRPS   float64      `json:"throughput_rps"`
-	P50MS           float64      `json:"p50_ms"`
-	P99MS           float64      `json:"p99_ms"`
-	Splits          []benchSplit `json:"splits"`
-	// Wall-clock cost of the demo run with telemetry off vs. with a
-	// 4096-span ring attached (best of three), and the relative overhead.
-	UntracedWallMS       float64 `json:"untraced_wall_ms"`
-	TracedWallMS         float64 `json:"traced_wall_ms"`
-	TelemetryOverheadPct float64 `json:"telemetry_overhead_pct"`
-}
-
-// bestOfWall times fn three times and returns the fastest wall-clock
-// duration in milliseconds.
-func bestOfWall(fn func() error) (float64, error) {
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		if ms := time.Since(start).Seconds() * 1e3; i == 0 || ms < best {
-			best = ms
-		}
-	}
-	return best, nil
-}
-
-// exportBench measures the traced demo and writes the JSON report.
-func exportBench(path string) error {
-	// Stats run: unbounded tracer for the occupancy summary.
-	tr := telemetry.New()
-	rep, coll, _, err := experiments.RunDemo("pipeline", serving.Observe{Trace: tr}, demoHorizon)
-	if err != nil {
-		return err
-	}
-	if err := rep.Err(); err != nil {
-		return err
-	}
-	out := benchReport{
-		Experiment:      "traced-demo (BERT-Base DeeBERT, V100x8, bursty open loop)",
-		HorizonVirtualS: demoHorizon,
-		Samples:         rep.Samples,
-		Completed:       rep.Completed,
-		Dropped:         rep.Dropped,
-		ThroughputRPS:   float64(rep.Completed) / demoHorizon,
-		P50MS:           coll.Lat.Quantile(0.50) * 1e3,
-		P99MS:           coll.Lat.Quantile(0.99) * 1e3,
-	}
-	for _, sp := range telemetry.Summarize(tr.Spans()).Splits {
-		out.Splits = append(out.Splits, benchSplit{
-			Split: sp.Stage, GPUs: sp.Tracks, Util: sp.Util,
-			BubbleS: sp.Bubble, MeanBatch: sp.MeanBatch,
-		})
-	}
-
-	// Overhead runs: telemetry off vs. the live-serving ring config.
-	off, err := bestOfWall(func() error {
-		_, _, _, err := experiments.RunDemo("pipeline", serving.Observe{}, demoHorizon)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	on, err := bestOfWall(func() error {
-		_, _, _, err := experiments.RunDemo("pipeline", serving.Observe{Trace: telemetry.NewRing(4096)}, demoHorizon)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	out.UntracedWallMS = off
-	out.TracedWallMS = on
-	if off > 0 {
-		out.TelemetryOverheadPct = (on - off) / off * 100
-	}
-
-	env, err := bench.Wrap("traced-demo", experiments.DemoSeed,
-		&bench.TraceParams{HorizonS: demoHorizon, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
-		map[string]float64{
-			"throughput_rps":         out.ThroughputRPS,
-			"p99_ms":                 out.P99MS,
-			"telemetry_overhead_pct": out.TelemetryOverheadPct,
-		}, out)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteFile(path, env); err != nil {
-		return err
-	}
-	fmt.Printf("wrote benchmark stats to %s (throughput %.1f req/s, p99 %.1fms, telemetry overhead %.1f%%)\n",
-		path, out.ThroughputRPS, out.P99MS, out.TelemetryOverheadPct)
-	return nil
-}
-
-// replanReport is the machine-readable -windows -bench-out payload.
-type replanReport struct {
-	Experiment string  `json:"experiment"`
-	Windows    int     `json:"windows"`
-	WindowDurS float64 `json:"window_dur_s"`
-	Seed       int64   `json:"seed"`
-
-	Replans         int      `json:"replans"`
-	PlanChanges     int      `json:"plan_changes"`
-	PlanCacheHits   int      `json:"plan_cache_hits"`
-	PlanCacheMisses int      `json:"plan_cache_misses"`
-	FinalPlan       string   `json:"final_plan"`
-	PlanDiffs       []string `json:"plan_diffs"`
-
-	// Forecast accuracy of the primary (ARIMA) run vs. the persistence
-	// baseline on the same seed and workload drift.
-	ForecastMAEARIMA       float64 `json:"forecast_mae_arima"`
-	ForecastMAEPersistence float64 `json:"forecast_mae_persistence"`
-	ARIMABeatsPersistence  bool    `json:"arima_beats_persistence"`
-
-	AuditSamples    int `json:"audit_samples"`
-	AuditCompleted  int `json:"audit_completed"`
-	AuditDropped    int `json:"audit_dropped"`
-	AuditViolations int `json:"audit_violations"`
-
-	// Error-budget accounting across the run (per-window detail rides in
-	// per_window[].budget).
-	SLOTarget      float64 `json:"slo_target"`
-	BudgetBreaches int     `json:"budget_breaches"`
-
-	// Flame profiling of the whole replan run (only with -flame-*): the
-	// exact-reconcile verdict plus each window's own busy/bubble time
-	// (deltas of the cumulative boundary snapshots).
-	FlameReconcile *flame.ReconcileStat `json:"flame_reconcile,omitempty"`
-	FlameWindows   []flameWindowStat    `json:"flame_windows,omitempty"`
-
-	PerWindow []replan.WindowStat `json:"per_window"`
-}
-
-// flameWindowStat is one window's own compute, from differencing
-// consecutive cumulative flame snapshots at window boundaries.
-type flameWindowStat struct {
-	Window      int   `json:"window"`
-	BusyNanos   int64 `json:"busy_nanos"`
-	BubbleNanos int64 `json:"bubble_nanos"`
-}
-
-// flameWindowStats turns the replan loop's cumulative per-boundary
-// snapshots into per-window deltas.
-func flameWindowStats(snaps []*flame.Profile) []flameWindowStat {
-	out := make([]flameWindowStat, 0, len(snaps))
-	var prevBusy, prevBubble int64
-	for i, pr := range snaps {
-		busy, bubble := pr.BusyNanos(), pr.BubbleNanos()
-		out = append(out, flameWindowStat{
-			Window: i, BusyNanos: busy - prevBusy, BubbleNanos: bubble - prevBubble,
-		})
-		prevBusy, prevBubble = busy, bubble
-	}
-	return out
-}
-
 // runReplan drives the windowed predict→plan→serve→observe loop on the
 // drifting-mix demo, prints the per-window table, and returns the process
 // exit code. auditGate makes any conservation or reconcile violation
 // fatal (the `make verify` gate). bundlePath arms the flight recorder and
 // dumps its bundle when any trigger fires; attrPath writes the
 // per-request latency-attribution dump.
-func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, attrPath string, sloTarget, burnThreshold float64,
+func runReplan(windows int, auditGate bool, tracePath, bundlePath, attrPath string, sloTarget, burnThreshold float64,
 	flameOut, flameFolded, flamePprof string) int {
 	var tr *telemetry.Tracer
 	if tracePath != "" {
@@ -513,55 +313,6 @@ func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, at
 			res.FlameStat.Residual, res.FlameStat.Devices,
 			map[bool]string{true: "exact", false: "MISMATCH"}[res.FlameStat.OK()])
 	}
-	if benchPath != "" {
-		out := replanReport{
-			Experiment:             "replan-loop (BERT-Base DeeBERT, V100x8, easy mix 0.9->0.3)",
-			Windows:                windows,
-			WindowDurS:             2.0,
-			Seed:                   424242,
-			Replans:                res.Replans,
-			PlanChanges:            res.PlanChanges,
-			PlanCacheHits:          res.PlanCacheHits,
-			PlanCacheMisses:        res.PlanCacheMisses,
-			FinalPlan:              res.FinalPlan.String(),
-			PlanDiffs:              []string{},
-			ForecastMAEARIMA:       res.MeanForecastMAE,
-			ForecastMAEPersistence: base.MeanForecastMAE,
-			ARIMABeatsPersistence:  res.MeanForecastMAE < base.MeanForecastMAE,
-			AuditSamples:           res.Report.Samples,
-			AuditCompleted:         res.Report.Completed,
-			AuditDropped:           res.Report.Dropped,
-			AuditViolations:        len(res.Report.Violations),
-			SLOTarget:              res.Budget.Target(),
-			BudgetBreaches:         res.Budget.Breaches(),
-			PerWindow:              res.Windows,
-		}
-		for _, d := range res.Diffs.Items() {
-			out.PlanDiffs = append(out.PlanDiffs, d.String())
-		}
-		if fl != nil {
-			stat := res.FlameStat
-			out.FlameReconcile = &stat
-			out.FlameWindows = flameWindowStats(res.FlameWindows)
-		}
-		env, werr := bench.Wrap("replan-loop", out.Seed,
-			&bench.TraceParams{Windows: windows, WindowDurS: out.WindowDurS, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
-			map[string]float64{
-				"replans":            float64(res.Replans),
-				"plan_changes":       float64(res.PlanChanges),
-				"forecast_mae_arima": res.MeanForecastMAE,
-				"budget_breaches":    float64(res.Budget.Breaches()),
-			}, out)
-		if werr == nil {
-			werr = bench.WriteFile(benchPath, env)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", werr)
-			return 1
-		}
-		fmt.Printf("wrote replan stats to %s\n", benchPath)
-	}
-
 	if auditGate {
 		if err := res.Report.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "e3-bench:", err)

@@ -1,17 +1,16 @@
-// Package bench defines the shared envelope for e3-bench's machine-
-// readable JSON artifacts (the BENCH_PR*.json zoo). Every emitter —
-// -bench-out, -plan-bench, -sim-bench — wraps its kind-specific payload
-// in a Report carrying the schema version, the workload seed, the trace
-// parameters, and a flat headline-metrics map, so downstream tooling can
-// index artifacts without knowing every payload shape. Decode also
-// accepts the pre-envelope files (no "schema" key) as Schema 0 with the
-// whole document as payload, so old BENCH files stay readable.
+// Package bench defines the envelope of the benchmark's machine-readable
+// report: the `report {...}` line bash _benchmark/run.sh prints. Wrap
+// puts a kind-specific payload in a Report carrying the schema version,
+// the workload seed, the trace parameters, and a flat headline-metrics
+// map, so tooling can index reports without knowing every payload shape.
+// Decode reads one back and rejects anything that is not a versioned
+// envelope. The checked-in baseline reports live under testdata/baseline.
 package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 )
 
 // CurrentSchema is the envelope version this package writes.
@@ -28,11 +27,10 @@ type TraceParams struct {
 
 // Report is the envelope. Payload holds the kind-specific body verbatim.
 type Report struct {
-	// Schema is the envelope version; 0 marks a legacy pre-envelope file
-	// whose entire document is the payload.
+	// Schema is the envelope version, in [1, CurrentSchema].
 	Schema int `json:"schema"`
-	// Tool and Kind identify the emitter ("e3-bench") and the artifact
-	// family ("traced-demo", "replan-loop", "plan-bench", "sim-bench").
+	// Tool and Kind identify the emitter and the report family
+	// ("benchmark" or "benchmark-traced").
 	Tool string `json:"tool,omitempty"`
 	Kind string `json:"kind,omitempty"`
 	// Seed is the workload seed the run used (0 when not seed-driven).
@@ -56,42 +54,22 @@ func Wrap(kind string, seed int64, tp *TraceParams, metrics map[string]float64, 
 	}, nil
 }
 
-// Decode reads an envelope, accepting legacy pre-envelope documents: a
-// JSON object without a "schema" key decodes as Schema 0 with the whole
-// document as payload.
+// Decode reads an envelope. A document without a "schema" key, or with
+// a schema outside [1, CurrentSchema], is an error.
 func Decode(data []byte) (*Report, error) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("bench: not a JSON object: %w", err)
 	}
 	if _, ok := probe["schema"]; !ok {
-		return &Report{Schema: 0, Payload: json.RawMessage(data)}, nil
+		return nil, errors.New("bench: document has no schema key")
 	}
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, err
 	}
-	if rep.Schema > CurrentSchema {
-		return nil, fmt.Errorf("bench: envelope schema %d is newer than supported %d", rep.Schema, CurrentSchema)
+	if rep.Schema < 1 || rep.Schema > CurrentSchema {
+		return nil, fmt.Errorf("bench: envelope schema %d outside supported [1, %d]", rep.Schema, CurrentSchema)
 	}
 	return &rep, nil
-}
-
-// ReadFile decodes an envelope (or legacy document) from disk.
-func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}
-
-// WriteFile writes the envelope as indented JSON with a trailing newline
-// (the convention every BENCH artifact follows).
-func WriteFile(path string, rep *Report) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

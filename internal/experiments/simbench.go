@@ -35,22 +35,14 @@ type SimBenchConfig struct {
 	Pooled bool
 	GPUs   int
 	Batch  int
-	// Plan optionally supplies a precomputed plan so harnesses can time
+	// Plan optionally supplies a precomputed plan so callers can time
 	// the data plane alone; nil plans fresh via the optimizer.
 	Plan *optimizer.Plan
 }
 
-// PlanSimBench computes the plan a config would use, for callers that
-// want planning outside their timed region.
-func PlanSimBench(cfg SimBenchConfig) (optimizer.Plan, error) {
-	base := model.BERTBase()
-	dee := ee.NewDeeBERT(base, 0.4)
-	return planE3(cluster.Homogeneous(gpu.V100, cfg.GPUs), dee, mix80(), cfg.Batch, defaultSLO, nil)
-}
-
-// DefaultSimBench is the paper-scale trace the -sim-bench harness and the
-// simgate floor measure: 9000 req/s × 1 h on BERT-Base/DeeBERT over 8
-// V100s, every 1000th request audited in detail.
+// DefaultSimBench is the paper-scale trace the benchmark's paper-9k
+// workload and the simgate floor run: 9000 req/s × 1 h on
+// BERT-Base/DeeBERT over 8 V100s, every 1000th request audited in detail.
 func DefaultSimBench() SimBenchConfig {
 	return SimBenchConfig{
 		Rate: 9000, Horizon: 3600, Seed: 97,

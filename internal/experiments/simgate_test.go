@@ -4,7 +4,21 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"e3/internal/cluster"
+	"e3/internal/ee"
+	"e3/internal/gpu"
+	"e3/internal/model"
+	"e3/internal/optimizer"
 )
+
+// PlanSimBench computes the plan a config would use, so the gate can
+// keep planning outside its timed region.
+func PlanSimBench(cfg SimBenchConfig) (optimizer.Plan, error) {
+	base := model.BERTBase()
+	dee := ee.NewDeeBERT(base, 0.4)
+	return planE3(cluster.Homogeneous(gpu.V100, cfg.GPUs), dee, mix80(), cfg.Batch, defaultSLO, nil)
+}
 
 // TestSimBenchPooledUnpooledByteIdentical is the determinism property the
 // fast path must never trade away: for any seed, a pooled run and an

@@ -25,14 +25,6 @@ const (
 	tracedSeed    = 424242
 )
 
-// DemoSeed and DemoAvgRate export the demo setting's workload parameters
-// for report envelopes and flame artifacts that describe demo runs.
-const (
-	DemoSeed    int64   = tracedSeed
-	DemoAvgRate float64 = tracedAvgRate
-	DemoBatch   int     = tracedBatch
-)
-
 // RunDemo plans the demo setting and replays it through the named runner
 // — "pipeline" for the E3 pipeline, "serial" for the phase-synchronized
 // Serial runner of §5.8.7 on the same seed and plan — with obs's

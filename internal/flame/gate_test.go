@@ -73,9 +73,6 @@ func replanFold(t *testing.T, workers int) ([]byte, flame.ReconcileStat) {
 	if err := res.Report.Err(); err != nil {
 		t.Fatalf("replan audit (workers=%d): %v", workers, err)
 	}
-	if len(res.FlameWindows) != 4 {
-		t.Fatalf("want 4 per-window flame snapshots, got %d", len(res.FlameWindows))
-	}
 	return fl.Profile().Folded(), res.FlameStat
 }
 

@@ -19,8 +19,9 @@ import (
 //     shards x 8 workers must beat 1 shard by a factor scaled to the
 //     cores actually present — >=4x with 8+ cores, >=2x with 4, >=1.2x
 //     with 2, and skipped (loudly) on 1 core, where N goroutines
-//     serialize and no speedup is possible. BENCH_PR10.json records the
-//     honest curve with gomaxprocs alongside.
+//     serialize and no speedup is possible. The gate logs the measured
+//     ratio next to the core count; the benchmark's fleet-zoo workload
+//     reports fleet.speedup with GOMAXPROCS in its envelope.
 func TestFleetGate(t *testing.T) {
 	if os.Getenv("E3_FLEET_GATE") == "" {
 		t.Skip("set E3_FLEET_GATE=1 to run the fleet scaling gate (enabled by `make fleetgate`)")

@@ -13,8 +13,8 @@ import (
 )
 
 // benchCase is one planner workload for the benchmark grid: a model scale
-// crossed with a cluster heterogeneity level. The grid is what
-// `e3-bench -plan-bench` samples to produce BENCH_PR5.json.
+// crossed with a cluster heterogeneity level. BenchmarkSearch times the
+// reference, memoized-serial and memoized-parallel searches on each one.
 type benchCase struct {
 	name string
 	cfg  Config

@@ -92,8 +92,9 @@ func NewCostTable(m *ee.EEModel, batch int, disableInteriorRamps bool, link simn
 				}
 				idx := (from-1)*L + (to - 1)
 				times[idx] = st
-				// Mirror SplitFits: weights + LM head + double-buffered
-				// activations within 90% of device memory.
+				// The memory constraint: weights + LM head + double-
+				// buffered activations within 90% of device memory (the
+				// test oracle SplitFits computes the same unmemoized).
 				fits[idx] = (weights+lmHead)+4*maxAct*float64(batch) <= memLimit
 			}
 		}
@@ -161,7 +162,7 @@ func (t *CostTable) stageTime(ki, from, to int) float64 {
 	return t.time[ki][(from-1)*t.layers+to-1]
 }
 
-// splitFits returns the memoized SplitFits verdict for [from, to] on ki.
+// splitFits returns the memoized memory-fit verdict for [from, to] on ki.
 func (t *CostTable) splitFits(ki, from, to int) bool {
 	return t.fits[ki][(from-1)*t.layers+to-1]
 }

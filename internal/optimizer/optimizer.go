@@ -270,31 +270,6 @@ func boundaryCandidates(cfg Config) []int {
 	return out
 }
 
-// SplitFits reports whether layers [from, to] of the model fit in one
-// device of the given kind at the given batch: weights plus an activation
-// working set (double-buffered input/output per sample) within 90% of
-// device memory. It is the memory-feasibility constraint the planner
-// applies to every (split, kind) assignment — an 8B-parameter model's
-// full weight footprint does not fit a 12 GB K80, but its splits can.
-func SplitFits(m *ee.EEModel, from, to, batch int, kind gpu.Kind) bool {
-	spec := gpu.Get(kind)
-	weights := 0.0
-	maxAct := 0.0
-	for k := from; k <= to; k++ {
-		l := m.Base.Layers[k-1]
-		weights += l.WeightBytes
-		if l.ActBytes > maxAct {
-			maxAct = l.ActBytes
-		}
-	}
-	// LM-head ramps keep the vocabulary projection resident.
-	if m.LMHeadRamp {
-		weights += 2 * float64(m.Base.Hidden) * float64(m.Base.Vocab)
-	}
-	working := 4 * maxAct * float64(batch) // in/out double buffering
-	return weights+working <= spec.MemGB*1e9*0.9
-}
-
 // workPerSample is the GPU-seconds one fresh sample costs at split i,
 // accounting for the fraction of samples that still reach it.
 func workPerSample(s Split, batch int, pipelined bool) float64 {

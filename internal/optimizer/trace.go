@@ -14,8 +14,8 @@ type RejectReason string
 // feasible plan or is rejected for exactly one of these, so the trace's
 // accounting identity (sum of reasons + feasible == enumerated) holds.
 const (
-	// RejectMemory: some split does not fit its assigned GPU kind
-	// (SplitFits failed).
+	// RejectMemory: some split does not fit its assigned GPU kind's
+	// memory (weights plus working set within 90% of the device).
 	RejectMemory RejectReason = "memory-misfit"
 	// RejectReplicas: the cluster cannot supply even the minimum replica
 	// counts for the candidate's kind assignment.
@@ -177,16 +177,6 @@ func (t *SearchTrace) candidate() {
 	t.mu.Unlock()
 }
 
-// reject classifies one enumerated candidate's elimination.
-func (t *SearchTrace) reject(r RejectReason) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.Rejected[r]++
-	t.mu.Unlock()
-}
-
 // insertScored inserts sp into a bounded best-first list under better.
 // Insertion preserves first-seen order on ties, mirroring the planner's
 // own "strictly better replaces" rule, so top[0] is always the plan the
@@ -209,18 +199,6 @@ func insertScored(top []ScoredPlan, sp ScoredPlan, better func(a, b Plan) bool) 
 		top = top[:maxRunnersUp+1]
 	}
 	return top
-}
-
-// feasible records one surviving candidate, keeping the best few ranked
-// by the objective comparator.
-func (t *SearchTrace) feasible(p Plan) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.Feasible++
-	t.top = insertScored(t.top, ScoredPlan{Plan: p, Score: t.score(p)}, t.better)
-	t.mu.Unlock()
 }
 
 // absorb folds one partition task's private tally into the trace. The

@@ -73,10 +73,8 @@ type Config struct {
 	Attr *slo.Attribution
 
 	// Flame optionally folds the whole run's execution into a virtual-time
-	// compute profile, snapshotted at every window boundary (plan switches
-	// show up as profile shifts across Result.FlameWindows) and reconciled
-	// exactly against the utilization ledger at end of run. Nil disables
-	// profiling.
+	// compute profile, reconciled exactly against the utilization ledger
+	// at end of run. Nil disables profiling.
 	Flame *flame.Profiler
 
 	// SLOTarget is the attainment target the error budget accrues
@@ -168,12 +166,9 @@ type Result struct {
 	// accounting always runs).
 	Budget *slo.Budget
 
-	// FlameWindows holds one cumulative profile snapshot per window (only
-	// when a profiler was attached): FlameWindows[w] covers the run through
-	// window w's end, so window w's own compute is the Diff of snapshots
-	// w−1 and w. FlameStat is the end-of-run exact-reconcile outcome.
-	FlameWindows []*flame.Profile
-	FlameStat    flame.ReconcileStat
+	// FlameStat is the end-of-run exact-reconcile outcome (zero when no
+	// profiler was attached).
+	FlameStat flame.ReconcileStat
 }
 
 // Run executes the windowed loop. The engine, collector, ledger, tracer
@@ -386,12 +381,6 @@ func Run(cfg Config) (*Result, error) {
 			PlanCacheHit:  cacheHit,
 			Budget:        wb,
 		})
-		if cfg.Flame != nil {
-			// Snapshot the cumulative profile at the window boundary; the
-			// fold is pure, so this is cheap and does not disturb the
-			// accumulator.
-			res.FlameWindows = append(res.FlameWindows, cfg.Flame.Profile())
-		}
 		coll.ResetWindow()
 	}
 

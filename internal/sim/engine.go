@@ -12,9 +12,8 @@
 // all (the paper-scale traces push tens of millions of events through
 // this structure; see README "Data-plane performance"). Pop order depends
 // only on the (at, seq) total order, never on the heap's internal layout,
-// so it is bit-identical to the retained container/heap reference
-// implementation (ReferenceEngine), which the soak and equivalence tests
-// enforce.
+// so it is bit-identical to the container/heap reference implementation
+// the soak and equivalence tests keep as their oracle.
 package sim
 
 import (
